@@ -74,7 +74,8 @@ def _expect(obj, key, kind, where):
     if key not in obj:
         raise InputError(f"{where}: missing field {key!r}")
     val = obj[key]
-    if not isinstance(val, kind):
+    # bool is a subclass of int, but JSON true/false is never a count
+    if isinstance(val, bool) or not isinstance(val, kind):
         raise InputError(f"{where}: field {key!r} has the wrong type")
     return val
 
@@ -142,6 +143,7 @@ def parse_truss_document(text: str) -> TrussDocument:
                     or len(item) != 2
                     or not isinstance(item[0], str)
                     or not isinstance(item[1], int)
+                    or isinstance(item[1], bool)
                 ):
                     raise InputError(f"face {fid!r}: cycle entries are [edge id, sign]")
                 if item[0] not in seen_e:

@@ -81,7 +81,7 @@ class HomologySummary:
 
 
 def betti_numbers(c: ChainComplex) -> tuple[int, ...]:
-    """Betti numbers only, via the fast fraction-free rank path."""
+    """Betti numbers only, from the ranks of the boundary maps."""
     ranks = {k: rank(c.boundary(k)) for k in range(c.top_degree + 2)}
     return tuple(
         c.dims.get(k, 0) - ranks[k] - ranks[k + 1] for k in range(c.top_degree + 1)

@@ -3,19 +3,21 @@
 Every rank, kernel and solve in this package runs through here, so the
 guarantees are strict: scalars are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms), there is no floating point and no
-tolerance anywhere.  Ranks use a fraction-free integer elimination
-(Bareiss) after clearing denominators row by row; kernel bases, cokernel
-representatives and particular solutions use rational elimination so the
-returned vectors are exact.  Pivots are chosen by a Markowitz count on
-the sparse structure with deterministic tie-breaking, which keeps both
-fill-in and output reproducible.
+tolerance anywhere.  Ranks use a forward-only sparse elimination that
+touches only the rows holding each pivot column; kernel bases, cokernel
+representatives and particular solutions use a full rational reduction
+so the returned vectors are exact.  Pivots are chosen by Markowitz-style
+counts on the sparse structure with deterministic tie-breaking, which
+keeps both fill-in and output reproducible.
 """
 
 from __future__ import annotations
 
+import heapq
 from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
+
+from .errors import InternalCheckError
 
 Q = Fraction
 
@@ -209,82 +211,50 @@ def _markowitz_pivot(rowdata, colindex, active_rows):
     return best[2], best[1]
 
 
-def _int_rows(m: SparseMatrix):
-    """Rows of ``m`` as dicts of ints, each row scaled to integer entries.
-
-    Row scaling by a positive rational leaves the rank unchanged, which is
-    all the integer elimination is used for.
-    """
-    rows = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rows[i][j] = v
-    for i, r in enumerate(rows):
-        if not r:
-            continue
-        denom_lcm = 1
-        for v in r.values():
-            denom_lcm = denom_lcm * v.denominator // gcd(denom_lcm, v.denominator)
-        ints = {j: int(v * denom_lcm) for j, v in r.items()}
-        g = 0
-        for v in ints.values():
-            g = gcd(g, v)
-        if g > 1:
-            ints = {j: v // g for j, v in ints.items()}
-        rows[i] = ints
-    return rows
-
-
 def rank(m: SparseMatrix) -> int:
     """Exact rank over the rationals.
 
-    Fraction-free (Bareiss) elimination on the denominator-cleared integer
-    rows.  Every active row is updated at every step, including rows with
-    a zero in the pivot column (they scale by pivot/prev_pivot); this is
-    what makes each division below exact integer division, by the
-    Sylvester determinant identity.  Coefficient growth stays polynomial
-    and no rounding can occur.
+    Forward-only sparse elimination: the pivot row is the shortest
+    active row (ties on the lower row index) and, within it, the pivot
+    column is the one held by the fewest active rows (ties on the lower
+    column index), after Markowitz (1957).  Only the rows holding the pivot
+    column are updated; there is no back-substitution, since only the
+    number of pivots is needed.
     """
-    rowdata = _int_rows(m)
-    colindex = {}
-    for i, r in enumerate(rowdata):
-        for j in r:
-            colindex.setdefault(j, set()).add(i)
-    active = {i for i, r in enumerate(rowdata) if r}
-    prev_pivot = 1
+    rowdata = [dict() for _ in range(m.rows)]
+    colindex: dict[int, set[int]] = {}
+    for (i, j), v in m.entries.items():
+        rowdata[i][j] = v
+        colindex.setdefault(j, set()).add(i)
+    heap = [(len(row), i) for i, row in enumerate(rowdata) if row]
+    heapq.heapify(heap)
+    done = set()
     r = 0
-    while active:
-        picked = _markowitz_pivot(rowdata, colindex, active)
-        if picked is None:
-            break
-        pi, pj = picked
-        pivot = rowdata[pi][pj]
+    while heap:
+        n, pi = heapq.heappop(heap)
         prow = rowdata[pi]
-        active.discard(pi)
+        if pi in done or n != len(prow):
+            continue  # stale entry: the row was pivoted or has changed length
+        done.add(pi)
         for j in prow:
             colindex[j].discard(pi)
-        for i in list(active):
+        pj = min(prow, key=lambda j: (len(colindex[j]), j))
+        scale = prow.pop(pj)
+        prow = {j: v / scale for j, v in prow.items()}
+        for i in colindex.pop(pj):
             row = rowdata[i]
-            f = row.pop(pj, 0)
-            if f:
-                colindex[pj].discard(i)
-                cols = set(row) | set(prow)
-                cols.discard(pj)
-                for j in cols:
-                    # Bareiss step; exact division by the previous pivot.
-                    nv = (row.get(j, 0) * pivot - f * prow.get(j, 0)) // prev_pivot
-                    if nv:
-                        if j not in row:
-                            colindex.setdefault(j, set()).add(i)
-                        row[j] = nv
-                    elif j in row:
-                        del row[j]
-                        colindex[j].discard(i)
-            else:
-                for j in list(row):
-                    row[j] = row[j] * pivot // prev_pivot
-            if not row:
-                active.discard(i)
-        prev_pivot = pivot
+            f = row.pop(pj)
+            for j, pv in prow.items():
+                nv = row.get(j, QZERO) - f * pv
+                if nv:
+                    if j not in row:
+                        colindex[j].add(i)
+                    row[j] = nv
+                else:
+                    del row[j]
+                    colindex[j].discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
         r += 1
     return r
 
@@ -445,10 +415,13 @@ def solve_particular(
     """One exact solution of m @ x = b, or None when b is not in the image.
 
     Free coordinates are set to zero, so the answer is deterministic.
+    The answer is checked exactly against ``b``; a mismatch raises
+    InternalCheckError.
     """
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
-    red, rvec = _reduce(m, [Q(v) for v in b])
+    rhs = [Q(v) for v in b]
+    red, rvec = _reduce(m, rhs)
     pivot_rows = set(red.pivots.values())
     for i in range(m.rows):
         if i not in pivot_rows and rvec[i]:
@@ -460,8 +433,8 @@ def solve_particular(
             if j != pj and x[j]:
                 val -= v * x[j]
         x[pj] = val
-    # pivot columns are fully reduced, so no second pass is needed; verify
-    # cheaply in debug runs
+    if m.apply(x) != rhs:
+        raise InternalCheckError("particular solution does not reproduce the rhs")
     return x
 
 

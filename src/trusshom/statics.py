@@ -26,7 +26,7 @@ from .cosheaves import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers, homology
-from .sparse import SparseMatrix, rank, rank_modulo
+from .sparse import SparseMatrix, hstack, rank
 
 Q = Fraction
 
@@ -168,11 +168,9 @@ def maxwell_report(t: Truss) -> MaxwellReport:
     degenerate = affine_span_dim(t) < n
     mech = None if degenerate else b0 - rigid_dim
     if mech is not None:
-        embed_rank = rank_modulo(
-            rigid_motion_basis(t),
-            _image_vectors(cc.boundary(1)),
-            cc.dims[0],
-        )
+        # rank(d1) = dim C0 - b0, since d0 is the zero map
+        rigid = SparseMatrix.from_columns(rigid_motion_basis(t), cc.dims[0])
+        embed_rank = rank(hstack([cc.boundary(1), rigid])) - (cc.dims[0] - b0)
         if embed_rank != rigid_dim:
             raise InternalCheckError(
                 "rigid-body motions do not embed with full rank despite full span"
@@ -188,17 +186,6 @@ def maxwell_report(t: Truss) -> MaxwellReport:
         betti1=b1,
         degenerate_span=degenerate,
     )
-
-
-def _image_vectors(m: SparseMatrix) -> list[list[Fraction]]:
-    cols = []
-    for j in range(m.cols):
-        col = [Q(0)] * m.rows
-        for (i, jj), v in m.entries.items():
-            if jj == j:
-                col[i] = v
-        cols.append(col)
-    return cols
 
 
 # ---------------------------------------------------------------------------

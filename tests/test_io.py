@@ -88,6 +88,51 @@ def test_missing_vertex_reference_names_id():
         parse_truss_document(text)
 
 
+def _square_document(inner_sign=1):
+    return {
+        "version": 1,
+        "dim": 2,
+        "vertices": [
+            {"id": "a", "pos": ["0", "0"]},
+            {"id": "b", "pos": ["1", "0"]},
+            {"id": "c", "pos": ["1", "1"]},
+            {"id": "d", "pos": ["0", "1"]},
+        ],
+        "edges": [
+            {"id": "ab", "tail": "a", "head": "b"},
+            {"id": "bc", "tail": "b", "head": "c"},
+            {"id": "cd", "tail": "c", "head": "d"},
+            {"id": "da", "tail": "d", "head": "a"},
+        ],
+        "faces": [
+            {"id": "inner", "cycle": [[e, inner_sign] for e in ("ab", "bc", "cd", "da")]},
+            {"id": "outer", "cycle": [["da", -1], ["cd", -1], ["bc", -1], ["ab", -1]]},
+        ],
+        "exterior": "outer",
+    }
+
+
+def test_boolean_dim_rejected(tmp_path):
+    doc = _square_document()
+    doc["dim"] = True
+    f = tmp_path / "bool_dim.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="'dim' has the wrong type"):
+        parse_truss_document(f.read_text())
+    assert main(["analyze", str(f)]) == 1
+
+
+def test_boolean_face_signs_rejected(tmp_path):
+    f = tmp_path / "bool_signs.json"
+    f.write_text(json.dumps(_square_document(inner_sign=True)))
+    with pytest.raises(InputError, match="cycle entries are"):
+        parse_truss_document(f.read_text())
+    assert main(["rotations", str(f)]) == 1
+    # the same document with integer signs is valid
+    f.write_text(json.dumps(_square_document(inner_sign=1)))
+    assert main(["rotations", str(f)]) == 0
+
+
 def test_faces_auto_traced_when_absent():
     doc = parse_truss_document(fixture_text("wheel5.json"))
     assert doc.faces is None
@@ -251,27 +296,7 @@ def test_cli_spline_reports_cycle_dimension():
 
 
 def test_explicit_faces_parse_and_dualize(tmp_path):
-    doc = {
-        "version": 1,
-        "dim": 2,
-        "vertices": [
-            {"id": "a", "pos": ["0", "0"]},
-            {"id": "b", "pos": ["1", "0"]},
-            {"id": "c", "pos": ["1", "1"]},
-            {"id": "d", "pos": ["0", "1"]},
-        ],
-        "edges": [
-            {"id": "ab", "tail": "a", "head": "b"},
-            {"id": "bc", "tail": "b", "head": "c"},
-            {"id": "cd", "tail": "c", "head": "d"},
-            {"id": "da", "tail": "d", "head": "a"},
-        ],
-        "faces": [
-            {"id": "inner", "cycle": [["ab", 1], ["bc", 1], ["cd", 1], ["da", 1]]},
-            {"id": "outer", "cycle": [["da", -1], ["cd", -1], ["bc", -1], ["ab", -1]]},
-        ],
-        "exterior": "outer",
-    }
+    doc = _square_document()
     f = tmp_path / "square_faced.json"
     f.write_text(json.dumps(doc))
     parsed = parse_truss_document(f.read_text())

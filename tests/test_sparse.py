@@ -16,7 +16,11 @@ from trusshom.sparse import (
     solve_particular,
 )
 
-from conftest import dense_rank, matrix_rows
+from trusshom import sparse
+from trusshom.errors import InternalCheckError
+from trusshom.statics import force_chain_complex
+
+from conftest import dense_rank, matrix_rows, random_truss
 
 Q = Fraction
 
@@ -131,6 +135,18 @@ def test_solve_roundtrip_when_solvable(m, data):
     assert m.apply(x) == b
 
 
+def test_solve_particular_checks_its_residual(monkeypatch):
+    real_reduce = sparse._reduce
+
+    def skewed_reduce(m, rhs=None):
+        red, rvec = real_reduce(m, rhs)
+        return red, [v + 1 for v in rvec]
+
+    monkeypatch.setattr(sparse, "_reduce", skewed_reduce)
+    with pytest.raises(InternalCheckError, match="rhs"):
+        solve_particular(SparseMatrix.identity(2), [Q(3), Q(5)])
+
+
 @settings(max_examples=80, deadline=None)
 @given(sparse_matrices(), st.data())
 def test_permutation_invariance(m, data):
@@ -144,6 +160,51 @@ def test_permutation_invariance(m, data):
     assert rank(permuted) == rank(m)
     assert len(kernel_basis(permuted)) == len(kernel_basis(m))
     assert len(cokernel_reps(permuted)) == len(cokernel_reps(m))
+
+
+def low_rank_matrices(seed, count=12):
+    """Sparse rank-deficient matrices up to 30x40 with rational entries:
+    products of two sparse random factors through a small inner dimension."""
+    rng = random.Random(seed)
+
+    def sparse_factor(rows, cols, fill):
+        return SparseMatrix(rows, cols, {
+            (i, j): Q(rng.choice([-1, 1]) * rng.randrange(1, 10), rng.randrange(1, 6))
+            for i in range(rows)
+            for j in range(cols)
+            if rng.random() < fill
+        })
+
+    out = []
+    for _ in range(count):
+        rows, cols, inner = rng.randrange(5, 31), rng.randrange(5, 41), rng.randrange(1, 7)
+        fill = rng.choice([0.1, 0.2, 0.35])
+        out.append(sparse_factor(rows, inner, fill) @ sparse_factor(inner, cols, fill))
+    return out
+
+
+def test_rank_low_rank_products_match_dense_oracle():
+    for m in low_rank_matrices(7):
+        r = rank(m)
+        assert r == dense_rank(matrix_rows(m))
+        assert r == rank(m.transpose())
+
+
+def test_rank_low_rank_products_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    for m in low_rank_matrices(11):
+        dense = [[sympy.Rational(v.numerator, v.denominator) for v in row]
+                 for row in matrix_rows(m)]
+        expected = sympy.Matrix(m.rows, m.cols, [v for row in dense for v in row]).rank()
+        assert rank(m) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rank_of_random_truss_equilibrium_matrix(n):
+    rng = random.Random(31 + n)
+    for _ in range(6):
+        d1 = force_chain_complex(random_truss(rng, n)).boundary(1)
+        assert rank(d1) == dense_rank(matrix_rows(d1))
 
 
 def test_image_basis_and_reducer():
