@@ -42,7 +42,6 @@ from .homology import (
 )
 from .statics import (
     analyze,
-    decompose_boundary,
     equilibrium_stresses,
     force_chain_complex,
     maxwell_report,
@@ -106,8 +105,7 @@ def cmd_analyze(args) -> dict:
         "euler": {"chain": euler.chain_euler, "homology": euler.homology_euler, "ok": True},
     }
     if args.boundary:
-        lv, le = loaded.boundary_indices()
-        dec = decompose_boundary(t, lv, le)
+        dec = loaded.boundary_decomposition()
         eq = equilibrium_stresses(dec)
         out["equilibrium"] = {
             "connectors": [loaded.edge_ids[e] for e in dec.connector_edges],
@@ -169,8 +167,7 @@ def cmd_rotations(args) -> dict:
 
 def cmd_relative(args) -> dict:
     fd, loaded = document_to_form_diagram(_load_document(args.file))
-    lv, le = loaded.boundary_indices()
-    dec = decompose_boundary(fd.truss, lv, le)
+    dec = loaded.boundary_decomposition()
     eq = equilibrium_stresses(dec)
     stress = None
     if args.stress is not None:
@@ -257,8 +254,7 @@ def cmd_check(args) -> dict:
             record("planar_duality", True, f"skipped: {exc}")
 
     if loaded.document.boundary is not None:
-        lv, le = loaded.boundary_indices()
-        dec = decompose_boundary(t, lv, le)
+        dec = loaded.boundary_decomposition()
         seq = les_dimension_check(dec.presentation.inclusion, dec.presentation)
         record(
             "boundary_sequence_dimensions", seq.exactness_consistent,

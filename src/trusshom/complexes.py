@@ -117,11 +117,20 @@ class CellComplex:
 
     def left_right_faces(self, e: int) -> tuple[int, int]:
         """(left, right) face of edge e; left uses it with sign +1."""
-        uses = self.edge_face_signs()[e]
-        if len(uses) != 2 or uses[0][1] + uses[1][1] != 0:
-            raise PreconditionError(f"edge {e} does not bound exactly two faces")
-        (f1, s1), (f2, _) = uses
-        return (f1, f2) if s1 == +1 else (f2, f1)
+        return self.left_right_table([e])[e]
+
+    def left_right_table(self, edges) -> dict[int, tuple[int, int]]:
+        """edge -> (left, right) face for each of ``edges``, from one scan
+        of the face cycles."""
+        inc = self.edge_face_signs()
+        table = {}
+        for e in edges:
+            uses = inc[e]
+            if len(uses) != 2 or uses[0][1] + uses[1][1] != 0:
+                raise PreconditionError(f"edge {e} does not bound exactly two faces")
+            (f1, s1), (f2, _) = uses
+            table[e] = (f1, f2) if s1 == +1 else (f2, f1)
+        return table
 
     def is_connected(self) -> bool:
         if self.nverts == 0:
@@ -204,23 +213,26 @@ def euler_char(x: CellComplex) -> int:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Rational vertex positions in R^n."""
+    """Rational vertex positions in R^n; ``dim`` is n, even with no vertices."""
 
     positions: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.positions[0]) if self.positions else 0
+    dim: int
 
     def p(self, v: int) -> tuple[Fraction, ...]:
         return self.positions[v]
 
     @classmethod
-    def from_points(cls, points) -> "Embedding":
+    def from_points(cls, points, dim: Optional[int] = None) -> "Embedding":
+        """Embedding of ``points``; ``dim`` may be omitted when there is at
+        least one point, and is then the length of the first."""
         rows = tuple(tuple(Q(c) for c in pt) for pt in points)
-        if rows and any(len(r) != len(rows[0]) for r in rows):
+        if dim is None:
+            if not rows:
+                raise InputError("an embedding without points needs an explicit dimension")
+            dim = len(rows[0])
+        if any(len(r) != dim for r in rows):
             raise InputError("inconsistent coordinate dimensions")
-        return cls(rows)
+        return cls(rows, dim)
 
 
 def validate_embedding(x: CellComplex, emb: Embedding) -> None:

@@ -1,8 +1,8 @@
 """JSON documents for trusses, diagrams and reports.
 
-Coordinates are exchanged as strings, either exact decimals ("0.25") or
-ratios ("1/3"); both parse to the exact rational with no binary float in
-between.  Plain JSON integers are accepted too.  JSON floats are
+Coordinates are exchanged as strings, either exact decimals ("-0.25") or
+ratios ("1/3") and no other form; both parse to the exact rational with
+no binary float in between.  Plain JSON integers are accepted too.  JSON floats are
 rejected: they would silently break the exactness contract.
 
 Documents round-trip: parse -> serialize -> parse is a fixed point.
@@ -11,6 +11,7 @@ Documents round-trip: parse -> serialize -> parse is a fixed point.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -18,11 +19,13 @@ from typing import Optional
 from .complexes import Embedding, build_complex
 from .duality import FormDiagram, ForceDiagram, RelativeForceDiagram, form_diagram
 from .errors import InputError
-from .statics import Truss
+from .statics import BoundaryDecomposition, Truss, decompose_boundary
 
 Q = Fraction
 
 SCHEMA_VERSION = 1
+
+_COORD = re.compile(r"-?[0-9]+(\.[0-9]+)?|-?[0-9]+/[0-9]+")
 
 
 def parse_coord(value) -> Fraction:
@@ -36,6 +39,13 @@ def parse_coord(value) -> Fraction:
             "(exact decimal or num/den) to keep arithmetic exact"
         )
     if isinstance(value, str):
+        # Fraction(str) would also take exponents ("1e10000000"), which it
+        # expands to full integers at a cost that grows with the exponent
+        if not _COORD.fullmatch(value):
+            raise InputError(
+                f"coordinate {value[:40]!r} is neither an exact decimal "
+                "(\"-0.25\") nor a ratio (\"1/3\")"
+            )
         try:
             return Q(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -51,7 +61,7 @@ def format_coord(value: Fraction) -> str:
 class BoundarySection:
     loop_vertices: tuple[str, ...]
     loop_edges: tuple[str, ...]
-    connectors: tuple[str, ...] = ()
+    connectors: Optional[tuple[str, ...]] = None   # checked when declared
 
 
 @dataclass(frozen=True)
@@ -83,7 +93,7 @@ def _expect(obj, key, kind, where):
 def parse_truss_document(text: str) -> TrussDocument:
     try:
         raw = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer over the digit limit
         raise InputError(f"not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise InputError("document root must be an object")
@@ -128,7 +138,7 @@ def parse_truss_document(text: str) -> TrussDocument:
     if "faces" in raw and raw["faces"] is not None:
         faces = []
         seen_f = set()
-        for k, f in enumerate(raw["faces"]):
+        for k, f in enumerate(_expect(raw, "faces", list, "document")):
             if not isinstance(f, dict):
                 raise InputError(f"faces[{k}] must be an object")
             fid = _expect(f, "id", str, f"faces[{k}]")
@@ -166,12 +176,14 @@ def parse_truss_document(text: str) -> TrussDocument:
             raise InputError("boundary must be an object")
         lv = tuple(_expect(b, "loop_vertices", list, "boundary"))
         le = tuple(_expect(b, "loop_edges", list, "boundary"))
-        conn = tuple(b.get("connectors", ()))
+        conn = None
+        if b.get("connectors") is not None:
+            conn = tuple(_expect(b, "connectors", list, "boundary"))
         for vid in lv:
-            if vid not in seen_v:
+            if not isinstance(vid, str) or vid not in seen_v:
                 raise InputError(f"boundary references missing vertex {vid!r}")
-        for eid in tuple(le) + tuple(conn):
-            if eid not in seen_e:
+        for eid in le + (conn or ()):
+            if not isinstance(eid, str) or eid not in seen_e:
                 raise InputError(f"boundary references missing edge {eid!r}")
         boundary = BoundarySection(lv, le, conn)
 
@@ -201,8 +213,9 @@ def serialize_truss_document(doc: TrussDocument) -> str:
         raw["boundary"] = {
             "loop_vertices": list(doc.boundary.loop_vertices),
             "loop_edges": list(doc.boundary.loop_edges),
-            "connectors": list(doc.boundary.connectors),
         }
+        if doc.boundary.connectors is not None:
+            raw["boundary"]["connectors"] = list(doc.boundary.connectors)
     return json.dumps(raw, indent=2) + "\n"
 
 
@@ -216,16 +229,26 @@ class LoadedTruss:
     edge_ids: tuple[str, ...]
     face_ids: Optional[tuple[str, ...]]
 
-    def boundary_indices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    def boundary_decomposition(self) -> BoundaryDecomposition:
+        """Split the truss along the document's boundary loop.  A declared
+        connector list must name exactly the connectors the split finds."""
         b = self.document.boundary
         if b is None:
             raise InputError("document has no boundary section")
         vmap = self.document.vertex_index()
         emap = self.document.edge_index()
-        return (
+        dec = decompose_boundary(
+            self.truss,
             tuple(vmap[v] for v in b.loop_vertices),
             tuple(emap[e] for e in b.loop_edges),
         )
+        found = [self.edge_ids[e] for e in dec.connector_edges]
+        if b.connectors is not None and set(b.connectors) != set(found):
+            raise InputError(
+                f"boundary.connectors {sorted(set(b.connectors))} do not match "
+                f"the connector edges of the loop {sorted(found)}"
+            )
+        return dec
 
 
 def document_to_truss(doc: TrussDocument, dim: Optional[int] = None) -> LoadedTruss:
@@ -247,7 +270,7 @@ def document_to_truss(doc: TrussDocument, dim: Optional[int] = None) -> LoadedTr
         if doc.exterior is not None:
             exterior_idx = fmap[doc.exterior]
     x = build_complex(len(pts), edges, faces, exterior_idx)
-    truss = Truss(x, Embedding.from_points(pts))
+    truss = Truss(x, Embedding.from_points(pts, n))
     return LoadedTruss(
         doc,
         truss,

@@ -238,45 +238,54 @@ def _check_selfstress(fd: FormDiagram, stress: Sequence[Fraction]) -> list[Fract
     return s
 
 
-def force_diagram_from_stress(fd: FormDiagram, stress: Sequence[Fraction]) -> ForceDiagram:
-    """Integrate a self-stress into dual-vertex positions.
+def _integrate_dual_tree(
+    t: Truss, faces, edges, anchor: int, s: Sequence[Fraction]
+) -> dict[int, Point]:
+    """Dual-vertex positions of ``faces`` integrated from the stress ``s``.
 
-    The exterior face's dual vertex is anchored at the origin; crossing
-    the dual edge of primal edge e from its left face to its right face
-    displaces by -s_e * (edge vector), so q(left) - q(right) = s_e * vec
-    holds on every edge.  Closure over non-tree dual edges is checked
-    exactly and cannot fail for a genuine self-stress."""
-    s = _check_selfstress(fd, stress)
-    x = fd.complex
-    dual, corr = poincare_dual(x)
-    q: list[Optional[Point]] = [None] * x.nfaces
-    anchor = x.exterior_face
-    q[anchor] = (Q(0), Q(0))
-    adj: dict[int, list[tuple[int, int, int]]] = {fidx: [] for fidx in range(x.nfaces)}
-    for e in range(x.nedges):
-        fl, fr = x.left_right_faces(e)
-        adj[fl].append((fr, e, +1))
-        adj[fr].append((fl, e, -1))
+    ``anchor`` sits at the origin; crossing the dual edge of primal edge e
+    from its left face to its right face displaces by -s_e * (edge
+    vector), so q(left) - q(right) = s_e * vec holds on every edge.  The
+    walk follows a spanning tree of the dual graph on ``faces`` and
+    ``edges``; closure over the other dual edges is checked exactly and
+    cannot fail for a genuine stress."""
+    x = t.complex
+    sides = x.left_right_table(edges)
+    steps = {}
+    adj: dict[int, list[tuple[int, Point]]] = {f: [] for f in faces}
+    for e, (fl, fr) in sides.items():
+        if fl not in adj or fr not in adj:
+            raise InternalCheckError(f"edge {e} touches a face outside the dual region")
+        vec = edge_vector(x, t.embedding, e)
+        steps[e] = step = (s[e] * vec[0], s[e] * vec[1])
+        adj[fl].append((fr, (-step[0], -step[1])))
+        adj[fr].append((fl, step))
+    q = {anchor: (Q(0), Q(0))}
     stack = [anchor]
     while stack:
         cur = stack.pop()
-        for nxt, e, direction in adj[cur]:
-            if q[nxt] is None:
-                vec = fd.edge_vec(e)
-                step = (s[e] * vec[0], s[e] * vec[1])
-                if direction == +1:  # crossing left -> right
-                    q[nxt] = (q[cur][0] - step[0], q[cur][1] - step[1])
-                else:
-                    q[nxt] = (q[cur][0] + step[0], q[cur][1] + step[1])
+        for nxt, step in adj[cur]:
+            if nxt not in q:
+                q[nxt] = (q[cur][0] + step[0], q[cur][1] + step[1])
                 stack.append(nxt)
-    if any(p is None for p in q):
+    if len(q) != len(adj):
         raise InternalCheckError("dual graph is disconnected")
-    for e in range(x.nedges):
-        fl, fr = x.left_right_faces(e)
-        vec = fd.edge_vec(e)
-        if _sub(q[fl], q[fr]) != (s[e] * vec[0], s[e] * vec[1]):
+    for e, (fl, fr) in sides.items():
+        if _sub(q[fl], q[fr]) != steps[e]:
             raise InternalCheckError(f"dual tree integration failed to close at edge {e}")
-    return ForceDiagram(fd, dual, corr, tuple(q))
+    return q
+
+
+def force_diagram_from_stress(fd: FormDiagram, stress: Sequence[Fraction]) -> ForceDiagram:
+    """Integrate a self-stress into dual-vertex positions.
+
+    The exterior face's dual vertex is anchored at the origin and the
+    positions follow from the dual tree integration above."""
+    s = _check_selfstress(fd, stress)
+    x = fd.complex
+    dual, corr = poincare_dual(x)
+    q = _integrate_dual_tree(fd.truss, range(x.nfaces), range(x.nedges), x.exterior_face, s)
+    return ForceDiagram(fd, dual, corr, tuple(q[f] for f in range(x.nfaces)))
 
 
 def stress_from_force_diagram(
@@ -381,8 +390,8 @@ def motion_to_rotation_class(pc: PositionCosheaf, u) -> MotionRotationClass:
     for e in range(x.nedges):
         n = pc.perp[e]
         chain.append(n[0] * w[2 * e] + n[1] * w[2 * e + 1])
-    reducer = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
-    return MotionRotationClass(chain, reducer.reduce(chain))
+    reduce = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
+    return MotionRotationClass(chain, reduce(chain))
 
 
 def check_form_finding_safety(pc: PositionCosheaf, zeta) -> bool:
@@ -396,8 +405,8 @@ def check_form_finding_safety(pc: PositionCosheaf, zeta) -> bool:
     if len(flat) != pc.chain.dims[2]:
         raise InputError("dual repositioning has the wrong length")
     rho = pc.boundary2().apply(flat)
-    reducer = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
-    if any(reducer.reduce(rho)):
+    reduce = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
+    if any(reduce(rho)):
         raise InternalCheckError("dual repositioning produced an unrealizable rotation")
     return True
 
@@ -498,37 +507,8 @@ def relative_force_diagram(
     if any(rel_chain.boundary(1).apply(rel_coords)):
         raise PreconditionError("stress is not an equilibrium stress of the region")
 
-    verts, edges, faces = _interior_region(x, dec.loop)
-    emb = t.embedding
-    q: dict[int, Point] = {}
-    anchor = min(faces)
-    q[anchor] = (Q(0), Q(0))
-    adj: dict[int, list[tuple[int, int, int]]] = {f: [] for f in faces}
-    for e in edges:
-        fl, fr = x.left_right_faces(e)
-        if fl == x.exterior_face or fr == x.exterior_face:
-            raise InternalCheckError("interior edge touches the exterior face")
-        adj[fl].append((fr, e, +1))
-        adj[fr].append((fl, e, -1))
-    stack = [anchor]
-    while stack:
-        cur = stack.pop()
-        for nxt, e, direction in adj[cur]:
-            if nxt not in q:
-                vec = edge_vector(x, emb, e)
-                step = (s[e] * vec[0], s[e] * vec[1])
-                if direction == +1:
-                    q[nxt] = (q[cur][0] - step[0], q[cur][1] - step[1])
-                else:
-                    q[nxt] = (q[cur][0] + step[0], q[cur][1] + step[1])
-                stack.append(nxt)
-    if set(q) != set(faces):
-        raise InternalCheckError("dual disk is disconnected")
-    for e in edges:
-        fl, fr = x.left_right_faces(e)
-        vec = edge_vector(x, emb, e)
-        if _sub(q[fl], q[fr]) != (s[e] * vec[0], s[e] * vec[1]):
-            raise InternalCheckError(f"dual disk integration failed to close at edge {e}")
+    _, edges, faces = _interior_region(x, dec.loop)
+    q = _integrate_dual_tree(t, faces, edges, min(faces), s)
 
     # dimension identity: relative dual realizations modulo translation
     # match equilibrium stresses

@@ -102,8 +102,8 @@ def homology(c: ChainComplex) -> HomologySummary:
         kern = kernel_basis(dk)
         img = image_basis(dk1)
         b = len(kern) - len(img)
-        reducer = row_space_reducer(img, c.dims.get(k, 0))
-        residues = [r for v in kern if any(r := reducer.reduce(v))]
+        reduce = row_space_reducer(img, c.dims.get(k, 0))
+        residues = [r for v in kern if any(r := reduce(v))]
         reps = (
             image_basis(SparseMatrix.from_columns(residues, c.dims.get(k, 0)))
             if residues

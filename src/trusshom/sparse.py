@@ -3,12 +3,13 @@
 Every rank, kernel and solve in this package runs through here, so the
 guarantees are strict: scalars are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms), there is no floating point and no
-tolerance anywhere.  Ranks use a forward-only sparse elimination that
-touches only the rows holding each pivot column; kernel bases, cokernel
-representatives and particular solutions use a full rational reduction
-so the returned vectors are exact.  Pivots are chosen by Markowitz-style
-counts on the sparse structure with deterministic tie-breaking, which
-keeps both fill-in and output reproducible.
+tolerance anywhere.  One forward sparse elimination serves every
+function: it touches only the rows holding each pivot column.  A rank
+is its pivot count; kernel bases, image bases, cokernel representatives,
+particular solutions and residues modulo a span are read from the
+reduced row-echelon form with respect to the natural column order, so
+every returned vector is canonical: it does not depend on the order in
+which the elimination visits the rows.
 """
 
 from __future__ import annotations
@@ -187,62 +188,57 @@ def hstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Elimination engines
+# Elimination
 # ---------------------------------------------------------------------------
 
 
-def _markowitz_pivot(rowdata, colindex, active_rows):
-    """Pick the pivot minimising (nnz(row)-1)*(nnz(col)-1).
+def _eliminate(m: SparseMatrix, rhs: Optional[list[Fraction]] = None, basis: bool = False):
+    """Forward sparse elimination of ``m``, optionally back-substituted.
 
-    Ties broken by (count, col, row) so the choice is deterministic for a
-    given sparse structure.
+    The pivot row is the shortest active row (a heap keyed ``(len(row),
+    row index)``; stale entries are skipped).  Only the rows holding the
+    pivot column are updated, and ``rhs`` rides through the same row
+    operations, so entries of dependent rows keep their residual.
+
+    Returns ``(rows, pivots, rvec)`` where ``pivots`` maps each pivot
+    column to its row, in elimination order.  With ``basis`` false the
+    pivot column is the one held by the fewest active rows (ties on the
+    lower index, after Markowitz 1957) and only ``len(pivots)`` is
+    meaningful.  With ``basis`` true the pivot column is the row's
+    leftmost nonzero, so the pivot columns are the echelon pivots of the
+    row space whatever order the rows are taken in; a back-substitution
+    in reverse pivot order then leaves each pivot row with 1 at its
+    pivot and 0 at every other pivot column: the reduced row-echelon
+    form with respect to the natural column order.
     """
-    best = None
-    for i in active_rows:
-        ri = rowdata[i]
-        rcount = len(ri) - 1
-        for j in ri:
-            score = rcount * (len(colindex[j]) - 1)
-            key = (score, j, i)
-            if best is None or key < best:
-                best = key
-    if best is None:
-        return None
-    return best[2], best[1]
-
-
-def rank(m: SparseMatrix) -> int:
-    """Exact rank over the rationals.
-
-    Forward-only sparse elimination: the pivot row is the shortest
-    active row (ties on the lower row index) and, within it, the pivot
-    column is the one held by the fewest active rows (ties on the lower
-    column index), after Markowitz (1957).  Only the rows holding the pivot
-    column are updated; there is no back-substitution, since only the
-    number of pivots is needed.
-    """
-    rowdata = [dict() for _ in range(m.rows)]
-    colindex: dict[int, set[int]] = {}
+    rows = [dict() for _ in range(m.rows)]
+    colindex: dict[int, set[int]] = {}  # column -> active rows holding it
     for (i, j), v in m.entries.items():
-        rowdata[i][j] = v
+        rows[i][j] = v
         colindex.setdefault(j, set()).add(i)
-    heap = [(len(row), i) for i, row in enumerate(rowdata) if row]
+    rvec = list(rhs) if rhs is not None else None
+    heap = [(len(row), i) for i, row in enumerate(rows) if row]
     heapq.heapify(heap)
+    pivots: dict[int, int] = {}
     done = set()
-    r = 0
+    # column -> earlier pivot rows holding it; back-substitution adds only
+    # free columns to pivot rows, so the entries for pivot columns stay exact
+    held: dict[int, list[int]] = {}
     while heap:
         n, pi = heapq.heappop(heap)
-        prow = rowdata[pi]
+        prow = rows[pi]
         if pi in done or n != len(prow):
             continue  # stale entry: the row was pivoted or has changed length
         done.add(pi)
         for j in prow:
             colindex[j].discard(pi)
-        pj = min(prow, key=lambda j: (len(colindex[j]), j))
+        pj = min(prow) if basis else min(prow, key=lambda j: (len(colindex[j]), j))
         scale = prow.pop(pj)
-        prow = {j: v / scale for j, v in prow.items()}
+        rows[pi] = prow = {j: v / scale for j, v in prow.items()}
+        if rvec is not None:
+            rvec[pi] /= scale
         for i in colindex.pop(pj):
-            row = rowdata[i]
+            row = rows[i]
             f = row.pop(pj)
             for j, pv in prow.items():
                 nv = row.get(j, QZERO) - f * pv
@@ -253,99 +249,36 @@ def rank(m: SparseMatrix) -> int:
                 else:
                     del row[j]
                     colindex[j].discard(i)
-            if row:
-                heapq.heappush(heap, (len(row), i))
-        r += 1
-    return r
-
-
-class _Reduced:
-    """Outcome of a full rational reduction of a matrix.
-
-    ``rows`` hold the reduced rows (each pivot column has a single nonzero,
-    scaled so the pivot is 1); ``pivots`` maps pivot column -> reduced row
-    index, in elimination order.
-    """
-
-    __slots__ = ("rows", "pivots", "ncols")
-
-    def __init__(self, rows, pivots, ncols):
-        self.rows = rows
-        self.pivots = pivots
-        self.ncols = ncols
-
-    @property
-    def rank(self):
-        return len(self.pivots)
-
-
-def _reduce(m: SparseMatrix, rhs: Optional[list[Fraction]] = None):
-    """Rational elimination to a fully reduced form.
-
-    Returns (_Reduced, reduced_rhs).  ``rhs`` entries are carried through
-    the same row operations; rows of the rhs belonging to eliminated-away
-    (dependent) equations keep their residual value, which is exactly the
-    inconsistency witness solve_particular needs.
-    """
-    rowdata = [dict() for _ in range(m.rows)]
-    for (i, j), v in m.entries.items():
-        rowdata[i][j] = v
-    rvec = list(rhs) if rhs is not None else None
-
-    colindex = {}
-    for i, r in enumerate(rowdata):
-        for j in r:
-            colindex.setdefault(j, set()).add(i)
-    active = {i for i, r in enumerate(rowdata) if r}
-    done: list[int] = []
-    pivots: dict[int, int] = {}
-
-    while active:
-        picked = _markowitz_pivot(rowdata, colindex, active)
-        if picked is None:
-            break
-        pi, pj = picked
-        prow = rowdata[pi]
-        pivot = prow[pj]
-        if pivot != QONE:
-            for j in prow:
-                prow[j] /= pivot
-            if rvec is not None:
-                rvec[pi] /= pivot
-        active.discard(pi)
-        for j in prow:
-            colindex[j].discard(pi)
-        # eliminate pj everywhere: rows still active and rows already done
-        victims = [i for i in colindex.get(pj, ()) if i in active]
-        victims += [i for i in done if pj in rowdata[i]]
-        for i in victims:
-            row = rowdata[i]
-            f = row.pop(pj, QZERO)
-            if i in active:
-                colindex[pj].discard(i)
-            if not f:
-                continue
-            for j, pv in prow.items():
-                if j == pj:
-                    continue
-                nv = row.get(j, QZERO) - f * pv
-                if nv:
-                    if j not in row and i in active:
-                        colindex.setdefault(j, set()).add(i)
-                    row[j] = nv
-                else:
-                    if j in row:
-                        del row[j]
-                        if i in active:
-                            colindex[j].discard(i)
             if rvec is not None:
                 rvec[i] -= f * rvec[pi]
-            if i in active and not row:
-                active.discard(i)
+            if row:
+                heapq.heappush(heap, (len(row), i))
         pivots[pj] = pi
-        done.append(pi)
+        if basis:
+            for j in prow:
+                held.setdefault(j, []).append(pi)
+    if basis:
+        for pj, pi in reversed(pivots.items()):
+            prow = rows[pi]
+            for i in held.pop(pj, ()):
+                row = rows[i]
+                f = row.pop(pj)
+                for j, pv in prow.items():
+                    nv = row.get(j, QZERO) - f * pv
+                    if nv:
+                        row[j] = nv
+                    else:
+                        del row[j]
+                if rvec is not None:
+                    rvec[i] -= f * rvec[pi]
+            prow[pj] = QONE
+    return rows, pivots, rvec
 
-    return _Reduced(rowdata, pivots, m.cols), rvec
+
+def rank(m: SparseMatrix) -> int:
+    """Exact rank over the rationals: the pivot count of a forward-only
+    elimination (no back-substitution, since no basis is needed)."""
+    return len(_eliminate(m)[1])
 
 
 def _canon_sign(vec: list[Fraction]) -> list[Fraction]:
@@ -359,37 +292,35 @@ def _canon_sign(vec: list[Fraction]) -> list[Fraction]:
 def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
     """Canonical basis of the null space.
 
-    One vector per free column: 1 at the free coordinate, the negated
+    One vector per free (non-pivot) column of the reduced row-echelon
+    form, in column order: 1 at the free coordinate and the negated
     reduced-echelon entries at the pivot coordinates, then sign-fixed so
     the first nonzero coordinate is positive.  Exactly cols - rank
     vectors, each satisfying m @ v == 0 identically.
     """
-    red, _ = _reduce(m)
-    free_cols = [j for j in range(m.cols) if j not in red.pivots]
-    basis = []
-    for j in free_cols:
-        vec = [QZERO] * m.cols
+    rows, pivots, _ = _eliminate(m, basis=True)
+    free = {j: [QZERO] * m.cols for j in range(m.cols) if j not in pivots}
+    for j, vec in free.items():
         vec[j] = QONE
-        for pj, pi in red.pivots.items():
-            coeff = red.rows[pi].get(j)
-            if coeff:
-                vec[pj] = -coeff
-        basis.append(_canon_sign(vec))
-    return basis
+    for pj, pi in pivots.items():
+        for j, v in rows[pi].items():
+            if j != pj:
+                free[j][pj] = -v
+    return [_canon_sign(vec) for vec in free.values()]
 
 
 def cokernel_reps(m: SparseMatrix) -> list[list[Fraction]]:
     """Representatives of target / image.
 
-    The image of ``m`` is the row space of its transpose; after reducing
-    the transpose, the standard basis vectors at non-pivot coordinates
-    are independent of the image and of each other, giving exactly
-    rows - rank canonical representatives.
+    The image of ``m`` is the row space of its transpose; the standard
+    basis vectors at the non-pivot coordinates of its reduced
+    row-echelon form are independent of the image and of each other,
+    giving exactly rows - rank canonical representatives.
     """
-    red, _ = _reduce(m.transpose())
+    _, pivots, _ = _eliminate(m.transpose(), basis=True)
     reps = []
     for i in range(m.rows):
-        if i not in red.pivots:
+        if i not in pivots:
             vec = [QZERO] * m.rows
             vec[i] = QONE
             reps.append(vec)
@@ -398,14 +329,13 @@ def cokernel_reps(m: SparseMatrix) -> list[list[Fraction]]:
 
 def image_basis(m: SparseMatrix) -> list[list[Fraction]]:
     """Reduced-echelon basis of the column space, as vectors in the target."""
-    red, _ = _reduce(m.transpose())
+    rows, pivots, _ = _eliminate(m.transpose(), basis=True)
     out = []
-    for pj in sorted(red.pivots):
-        pi = red.pivots[pj]
+    for pj in sorted(pivots):
         vec = [QZERO] * m.rows
-        for j, v in red.rows[pi].items():
+        for j, v in rows[pivots[pj]].items():
             vec[j] = v
-        out.append(_canon_sign(vec))
+        out.append(vec)
     return out
 
 
@@ -414,25 +344,20 @@ def solve_particular(
 ) -> Optional[list[Fraction]]:
     """One exact solution of m @ x = b, or None when b is not in the image.
 
-    Free coordinates are set to zero, so the answer is deterministic.
-    The answer is checked exactly against ``b``; a mismatch raises
-    InternalCheckError.
+    Free coordinates of the reduced row-echelon form are set to zero, so
+    the answer is deterministic.  The answer is checked exactly against
+    ``b``; a mismatch raises InternalCheckError.
     """
     if len(b) != m.rows:
         raise ValueError(f"rhs length {len(b)} != rows {m.rows}")
     rhs = [Q(v) for v in b]
-    red, rvec = _reduce(m, rhs)
-    pivot_rows = set(red.pivots.values())
-    for i in range(m.rows):
-        if i not in pivot_rows and rvec[i]:
-            return None
+    _, pivots, rvec = _eliminate(m, rhs, basis=True)
+    pivot_rows = set(pivots.values())
+    if any(v for i, v in enumerate(rvec) if i not in pivot_rows):
+        return None
     x = [QZERO] * m.cols
-    for pj, pi in red.pivots.items():
-        val = rvec[pi]
-        for j, v in red.rows[pi].items():
-            if j != pj and x[j]:
-                val -= v * x[j]
-        x[pj] = val
+    for pj, pi in pivots.items():
+        x[pj] = rvec[pi]
     if m.apply(x) != rhs:
         raise InternalCheckError("particular solution does not reproduce the rhs")
     return x
@@ -441,32 +366,24 @@ def solve_particular(
 def row_space_reducer(vectors: list[list[Fraction]], length: int):
     """Preprocess vectors spanning a subspace for repeated reduction.
 
-    Returns an object with ``reduce(vec)`` mapping a vector to its
-    canonical residue modulo the span: the reduced-echelon form of the
-    spanning set is subtracted off at each pivot coordinate.
+    Returns ``reduce(vec)``, mapping a vector to its canonical residue
+    modulo the span: each reduced-echelon row of the spanning set is
+    subtracted off at its pivot coordinate, leaving zeros at all of them.
     """
     mat = SparseMatrix.from_columns(vectors, length) if vectors else SparseMatrix(length, 0)
-    red, _ = _reduce(mat.transpose())
-    pivot_rows = [(pj, red.rows[pi]) for pj, pi in sorted(red.pivots.items())]
+    rows, pivots, _ = _eliminate(mat.transpose(), basis=True)
+    pivot_rows = [(pj, rows[pi]) for pj, pi in pivots.items()]
 
-    class _Reducer:
-        rank = len(pivot_rows)
+    def reduce(vec: Sequence[Fraction]) -> list[Fraction]:
+        out = list(vec)
+        for pj, row in pivot_rows:
+            f = out[pj]
+            if f:
+                for j, v in row.items():
+                    out[j] -= f * v
+        return out
 
-        @staticmethod
-        def reduce(vec: Sequence[Fraction]) -> list[Fraction]:
-            out = list(vec)
-            for pj, row in pivot_rows:
-                f = out[pj]
-                if f:
-                    for j, v in row.items():
-                        out[j] -= f * v
-            return out
-
-        @staticmethod
-        def contains(vec: Sequence[Fraction]) -> bool:
-            return not any(_Reducer.reduce(vec))
-
-    return _Reducer
+    return reduce
 
 
 def rank_of_vectors(vectors: list[list[Fraction]], length: int) -> int:

@@ -7,8 +7,12 @@ as the second route.
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,19 @@ from trusshom.complexes import CellComplex, Embedding, build_complex, planar_fac
 from trusshom.statics import Truss
 
 Q = Fraction
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def run_cli(*args, timeout=None):
+    """Run ``python -m trusshom`` from the repository root, with the
+    checkout's ``src`` on the path so no install is needed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(REPO / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "trusshom", *args],
+        capture_output=True, text=True, cwd=str(REPO), env=env, timeout=timeout,
+    )
 
 
 # ---------------------------------------------------------------------------

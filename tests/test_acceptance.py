@@ -7,10 +7,7 @@ are asserted with ==, never approximately.
 import functools
 import random
 import re
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 from trusshom.complexes import build_complex
 from trusshom.cosheaves import (
@@ -40,10 +37,9 @@ from trusshom.samples import collinear3, loaded_triangle, square4, tri3_spherica
 from trusshom.sparse import SparseMatrix, image_basis, kernel_basis, rank, rank_modulo
 from trusshom.statics import analyze, force_chain_complex, maxwell_report
 
-from conftest import dense_nullity, flip_edge, flip_face, random_form_truss, random_truss
+from conftest import dense_nullity, flip_edge, flip_face, random_form_truss, random_truss, run_cli
 
 Q = Fraction
-FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def criterion(num, title):
@@ -305,32 +301,23 @@ def test_c10_degenerate_geometry():
     assert mr.degenerate_span  # flagged, not misclassified
 
 
-def _run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "trusshom", *args],
-        capture_output=True,
-        text=True,
-        cwd=str(FIXTURES.parent),
-    )
-
-
 @criterion(11, "CLI byte-determinism and exact dual/primal parallelism in the SVGs")
 def test_c11_cli_end_to_end(tmp_path):
-    a1 = _run_cli("analyze", "fixtures/wheel5.json")
-    a2 = _run_cli("analyze", "fixtures/wheel5.json")
+    a1 = run_cli("analyze", "fixtures/wheel5.json")
+    a2 = run_cli("analyze", "fixtures/wheel5.json")
     assert a1.returncode == a2.returncode == 0
     assert a1.stdout == a2.stdout
 
     svg1 = tmp_path / "one.svg"
     svg2 = tmp_path / "two.svg"
-    d1 = _run_cli("dual", "fixtures/wheel5.json", "--stress", "0", "--svg", str(svg1))
-    d2 = _run_cli("dual", "fixtures/wheel5.json", "--stress", "0", "--svg", str(svg2))
+    d1 = run_cli("dual", "fixtures/wheel5.json", "--stress", "0", "--svg", str(svg1))
+    d2 = run_cli("dual", "fixtures/wheel5.json", "--stress", "0", "--svg", str(svg2))
     assert d1.returncode == d2.returncode == 0
     assert d1.stdout == d2.stdout
     assert svg1.read_bytes() == svg2.read_bytes()
 
     form_svg = tmp_path / "form.svg"
-    f1 = _run_cli("analyze", "fixtures/wheel5.json", "--svg", str(form_svg))
+    f1 = run_cli("analyze", "fixtures/wheel5.json", "--svg", str(form_svg))
     assert f1.returncode == 0
 
     def exact_segments(text):

@@ -5,13 +5,14 @@ import pytest
 
 from trusshom.complexes import Embedding, build_complex
 from trusshom.cosheaves import Subcomplex, quotient_cosheaf, restrict_to_subcomplex
-from trusshom.errors import InputError, PreconditionError
+from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.homology import betti_numbers
 from trusshom.samples import loaded_triangle, square4, tri3_spherical, wheel5
 from trusshom.sparse import image_basis, rank, rank_modulo
 from trusshom.statics import Truss, analyze, decompose_boundary
 from trusshom.duality import (
     FormDiagram,
+    _integrate_dual_tree,
     check_form_finding_safety,
     force_diagram_from_stress,
     form_diagram,
@@ -103,6 +104,25 @@ def test_force_diagram_rejects_non_selfstress(wheel):
     bad = [Q(1)] + [Q(0)] * 7
     with pytest.raises(PreconditionError, match="not a self-stress"):
         force_diagram_from_stress(fd, bad)
+
+
+def test_dual_tree_integration_keeps_its_checks(wheel):
+    fd, _ = wheel
+    x = fd.complex
+    faces, edges, ext = range(x.nfaces), range(x.nedges), x.exterior_face
+    (s,) = analyze(fd.truss).self_stress_basis
+    q = _integrate_dual_tree(fd.truss, faces, edges, ext, s)
+    assert q[ext] == (Q(0), Q(0)) and len(q) == x.nfaces
+    with pytest.raises(InternalCheckError, match="close"):
+        _integrate_dual_tree(fd.truss, faces, edges, ext, [Q(1)] * x.nedges)
+    with pytest.raises(InternalCheckError, match="disconnected"):
+        _integrate_dual_tree(fd.truss, faces, [], ext, s)
+    interior = [f for f in faces if f != ext]
+    with pytest.raises(InternalCheckError, match="outside the dual region"):
+        _integrate_dual_tree(fd.truss, interior, edges, interior[0], s)
+    bare = Truss(build_complex(2, [(0, 1)]), Embedding.from_points([(0, 0), (1, 0)]))
+    with pytest.raises(PreconditionError, match="exactly two faces"):
+        _integrate_dual_tree(bare, [], [0], 0, [Q(1)])
 
 
 def test_stress_roundtrip_exact(wheel):
@@ -229,7 +249,7 @@ def test_rotation_class_kernel_is_exactly_the_resisted_motions(wheel):
             u[2 * v] -= mean[0]
             u[2 * v + 1] -= mean[1]
         mc = motion_to_rotation_class(pc, u)
-        in_image = not any(membership.reduce(u))
+        in_image = not any(membership(u))
         assert mc.is_zero == in_image
         zero_seen += in_image
         nonzero_seen += not in_image

@@ -1,7 +1,5 @@
 import json
 import re
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,6 +17,8 @@ from trusshom.errors import InputError
 from trusshom.samples import wheel5
 from trusshom.statics import analyze
 from trusshom.svg import render_svg
+
+from conftest import run_cli
 
 Q = Fraction
 
@@ -122,6 +122,16 @@ def test_boolean_dim_rejected(tmp_path):
     assert main(["analyze", str(f)]) == 1
 
 
+def test_faces_must_be_a_list(tmp_path):
+    doc = _square_document()
+    doc["faces"] = 5
+    f = tmp_path / "faces_int.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="'faces' has the wrong type"):
+        parse_truss_document(f.read_text())
+    assert main(["rotations", str(f)]) == 1
+
+
 def test_boolean_face_signs_rejected(tmp_path):
     f = tmp_path / "bool_signs.json"
     f.write_text(json.dumps(_square_document(inner_sign=True)))
@@ -131,6 +141,91 @@ def test_boolean_face_signs_rejected(tmp_path):
     # the same document with integer signs is valid
     f.write_text(json.dumps(_square_document(inner_sign=1)))
     assert main(["rotations", str(f)]) == 0
+
+
+def test_empty_document_keeps_its_dimension(tmp_path, capsys):
+    f = tmp_path / "empty.json"
+    f.write_text(json.dumps({"version": 1, "dim": 2, "vertices": [], "edges": []}))
+    assert main(["analyze", str(f)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["dim"] == 2 and rep["maxwell"]["n"] == 2
+    assert main(["maxwell", str(f), "--dim", "3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["n"] == 3 and rep["identity"].startswith("3*0 - 0 = 0")
+
+
+def _one_vertex_document(coord):
+    return json.dumps({
+        "version": 1,
+        "dim": 2,
+        "vertices": [{"id": "a", "pos": [coord, "0"]}],
+        "edges": [],
+    })
+
+
+@pytest.mark.parametrize("coord", ["-0.25", "1/3", "-7/2", "12", "0"])
+def test_documented_coordinate_forms_accepted(coord):
+    (vertex,) = parse_truss_document(_one_vertex_document(coord)).vertices
+    assert vertex[1][0] == Q(coord)
+
+
+@pytest.mark.parametrize("coord", ["1e3", "1E-2", "+1", ".5", "1.", " 1", "\u0661"])
+def test_other_coordinate_strings_rejected(coord):
+    with pytest.raises(InputError, match="neither an exact decimal"):
+        parse_truss_document(_one_vertex_document(coord))
+
+
+def test_huge_exponent_coordinate_exits_1_quickly(tmp_path):
+    f = tmp_path / "exponent.json"
+    f.write_text(_one_vertex_document("1e10000000"))
+    proc = run_cli("analyze", str(f), timeout=10)
+    assert proc.returncode == 1
+    assert json.loads(proc.stderr)["error"] == "invalid input"
+
+
+def test_integer_over_the_digit_limit_is_invalid_input(tmp_path):
+    f = tmp_path / "digits.json"
+    f.write_text(_one_vertex_document("1").replace('"1"', "1" * 5000))
+    with pytest.raises(InputError, match="not valid JSON"):
+        parse_truss_document(f.read_text())
+    assert main(["analyze", str(f)]) == 1
+
+
+def _loaded1_with_connectors(connectors):
+    doc = json.loads(fixture_text("loaded1.json"))
+    if connectors is None:
+        del doc["boundary"]["connectors"]
+    else:
+        doc["boundary"]["connectors"] = connectors
+    return doc
+
+
+@pytest.mark.parametrize("connectors", [["la", "lb"], ["la", "lb", "lc", "y12"]])
+def test_declared_connectors_must_match_the_loop(tmp_path, connectors):
+    f = tmp_path / "loaded.json"
+    f.write_text(json.dumps(_loaded1_with_connectors(connectors)))
+    for argv in (["analyze", "--boundary"], ["relative"], ["check"]):
+        assert main([*argv, str(f)]) == 1
+    with pytest.raises(InputError, match="boundary.connectors"):
+        document_to_truss(parse_truss_document(f.read_text())).boundary_decomposition()
+
+
+@pytest.mark.parametrize("key", ["loop_vertices", "loop_edges", "connectors"])
+def test_boundary_entries_must_be_id_strings(tmp_path, key):
+    doc = _loaded1_with_connectors(["la", "lb", "lc"])
+    doc["boundary"][key] = [doc["boundary"][key]]  # a list where an id belongs
+    f = tmp_path / "loaded.json"
+    f.write_text(json.dumps(doc))
+    with pytest.raises(InputError, match="boundary references missing"):
+        parse_truss_document(f.read_text())
+    assert main(["check", str(f)]) == 1
+
+
+@pytest.mark.parametrize("connectors", [None, ["lc", "la", "lb"]])
+def test_undeclared_or_reordered_connectors_accepted(tmp_path, connectors):
+    f = tmp_path / "loaded.json"
+    f.write_text(json.dumps(_loaded1_with_connectors(connectors)))
+    assert main(["relative", str(f)]) == 0
 
 
 def test_faces_auto_traced_when_absent():
@@ -200,16 +295,6 @@ def test_svg_zero_stress_dual_degenerates_with_warning():
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
-
-
-def run_cli(*args):
-    proc = subprocess.run(
-        [sys.executable, "-m", "trusshom", *args],
-        capture_output=True,
-        text=True,
-        cwd=str(FIXTURES.parent),
-    )
-    return proc
 
 
 def test_cli_analyze_wheel5(tmp_path):

@@ -136,13 +136,13 @@ def test_solve_roundtrip_when_solvable(m, data):
 
 
 def test_solve_particular_checks_its_residual(monkeypatch):
-    real_reduce = sparse._reduce
+    real_eliminate = sparse._eliminate
 
-    def skewed_reduce(m, rhs=None):
-        red, rvec = real_reduce(m, rhs)
-        return red, [v + 1 for v in rvec]
+    def skewed_eliminate(m, rhs=None, basis=False):
+        rows, pivots, rvec = real_eliminate(m, rhs, basis)
+        return rows, pivots, [v + 1 for v in rvec]
 
-    monkeypatch.setattr(sparse, "_reduce", skewed_reduce)
+    monkeypatch.setattr(sparse, "_eliminate", skewed_eliminate)
     with pytest.raises(InternalCheckError, match="rhs"):
         solve_particular(SparseMatrix.identity(2), [Q(3), Q(5)])
 
@@ -190,13 +190,55 @@ def test_rank_low_rank_products_match_dense_oracle():
         assert r == rank(m.transpose())
 
 
+def to_sympy(sympy, m):
+    return sympy.Matrix(m.rows, m.cols, [
+        sympy.Rational(v.numerator, v.denominator) for row in matrix_rows(m) for v in row
+    ])
+
+
+def from_sympy(vec):
+    return [Q(int(v.p), int(v.q)) for v in vec]
+
+
+def sign_normalized(vec):
+    lead = next((v for v in vec if v), 1)
+    return [-v for v in vec] if lead < 0 else vec
+
+
 def test_rank_low_rank_products_match_sympy():
     sympy = pytest.importorskip("sympy")
     for m in low_rank_matrices(11):
-        dense = [[sympy.Rational(v.numerator, v.denominator) for v in row]
-                 for row in matrix_rows(m)]
-        expected = sympy.Matrix(m.rows, m.cols, [v for row in dense for v in row]).rank()
-        assert rank(m) == expected
+        assert rank(m) == to_sympy(sympy, m).rank()
+
+
+@pytest.mark.parametrize("seed", range(100, 110))
+def test_bases_are_sympy_reduced_echelon_forms(seed):
+    """Kernel and image bases are read off the reduced row-echelon form
+    with respect to the natural column order, as sympy computes it."""
+    sympy = pytest.importorskip("sympy")
+    for m in low_rank_matrices(seed, count=8):
+        sm = to_sympy(sympy, m)
+        assert kernel_basis(m) == [sign_normalized(from_sympy(v)) for v in sm.nullspace()]
+        rref, pivots = sm.T.rref()
+        assert image_basis(m) == [from_sympy(rref.row(k)) for k in range(len(pivots))]
+        assert cokernel_reps(m) == [
+            [Q(int(i == k)) for i in range(m.rows)] for k in range(m.rows) if k not in pivots
+        ]
+
+
+def test_bases_do_not_depend_on_the_order_of_the_equations():
+    rng = random.Random(3)
+    for m in low_rank_matrices(17):
+        perm = list(range(m.rows))
+        rng.shuffle(perm)
+        permuted = SparseMatrix(
+            m.rows, m.cols, {(perm[i], j): v for (i, j), v in m.entries.items()}
+        )
+        # each call below eliminates the row-permuted matrix
+        assert kernel_basis(permuted) == kernel_basis(m)
+        transposed = permuted.transpose()
+        assert image_basis(transposed) == image_basis(m.transpose())
+        assert cokernel_reps(transposed) == cokernel_reps(m.transpose())
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -211,11 +253,11 @@ def test_image_basis_and_reducer():
     m = SparseMatrix.from_rows([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
     img = image_basis(m)
     assert len(img) == rank(m) == 2
-    red = row_space_reducer(img, 3)
+    reduce = row_space_reducer(img, 3)
     for j in range(3):
         col = [m.get(i, j) for i in range(3)]
-        assert not any(red.reduce(col))
-    assert any(red.reduce([Q(0), Q(1), Q(0)]))
+        assert not any(reduce(col))
+    assert any(reduce([Q(0), Q(1), Q(0)]))
 
 
 def test_rank_modulo():
