@@ -10,7 +10,6 @@ dimensions are computed, never estimated.
 from .complexes import (
     CellComplex,
     CellId,
-    DualCorrespondence,
     Embedding,
     build_complex,
     euler_char,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionError
@@ -108,29 +108,25 @@ class CellComplex:
                 inc[e].append((f, s))
         return inc
 
+    @cached_property
+    def _face_uses(self) -> dict[int, list[tuple[int, int]]]:
+        """The edge -> face table, built on first use and kept."""
+        return self.edge_face_signs()
+
     def is_closed_surface(self) -> bool:
         """Every edge lies in exactly two faces with opposite signs."""
-        for uses in self.edge_face_signs().values():
+        for uses in self._face_uses.values():
             if len(uses) != 2 or uses[0][1] + uses[1][1] != 0:
                 return False
         return True
 
     def left_right_faces(self, e: int) -> tuple[int, int]:
         """(left, right) face of edge e; left uses it with sign +1."""
-        return self.left_right_table([e])[e]
-
-    def left_right_table(self, edges) -> dict[int, tuple[int, int]]:
-        """edge -> (left, right) face for each of ``edges``, from one scan
-        of the face cycles."""
-        inc = self.edge_face_signs()
-        table = {}
-        for e in edges:
-            uses = inc[e]
-            if len(uses) != 2 or uses[0][1] + uses[1][1] != 0:
-                raise PreconditionError(f"edge {e} does not bound exactly two faces")
-            (f1, s1), (f2, _) = uses
-            table[e] = (f1, f2) if s1 == +1 else (f2, f1)
-        return table
+        uses = self._face_uses[e]
+        if len(uses) != 2 or uses[0][1] + uses[1][1] != 0:
+            raise PreconditionError(f"edge {e} does not bound exactly two faces")
+        (f1, s1), (f2, _) = uses
+        return (f1, f2) if s1 == +1 else (f2, f1)
 
     def is_connected(self) -> bool:
         if self.nverts == 0:
@@ -414,68 +410,68 @@ def planar_faces(x: CellComplex, emb: Embedding) -> CellComplex:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualCorrespondence:
-    """Label bijections between a spherical complex and its dual:
-    primal vertex <-> dual face, primal edge <-> dual edge,
-    primal face <-> dual vertex (all index-to-index)."""
-
-    vertex_to_dual_face: tuple[int, ...]
-    edge_to_dual_edge: tuple[int, ...]
-    face_to_dual_vertex: tuple[int, ...]
-
-
-def _umbrella(x: CellComplex, v: int) -> list[tuple[int, int]]:
-    """Coherently oriented (face, next edge) cycle around vertex v.
+def _umbrellas(x: CellComplex) -> list[list[tuple[int, int]]]:
+    """Coherently oriented (face, next edge) cycle around every vertex.
 
     Each incident edge arrives at v inside exactly one of its two faces
     and leaves v inside the other, so following arrive -> leave walks the
     link of v in the rotation sense induced by the face orientations
     themselves; all umbrellas of the complex then rotate coherently.
-    Returns [(f_0, e_1), (f_1, e_2), ...]: e_{k+1} is the edge crossed
-    when stepping from face f_k to face f_{k+1}.
+    Entry v is [(f_0, e_1), (f_1, e_2), ...]: e_{k+1} is the edge crossed
+    when stepping from face f_k to face f_{k+1}.  One pass over the face
+    cycles collects every link; the links are then checked in vertex
+    order, so a defect is reported at the lowest vertex that has one.
     """
-    incident = {e for e, (t, h) in enumerate(x.edges) if v in (t, h)}
-    if not incident:
-        raise PreconditionError(f"vertex {v} has no incident edges")
-    arriving_face: dict[int, int] = {}   # edge -> face where it arrives at v
-    leaving_edge: dict[int, int] = {}    # face -> edge leaving v in it
+    incident: list[list[int]] = [[] for _ in range(x.nverts)]
+    for e, (t, h) in enumerate(x.edges):
+        incident[t].append(e)
+        incident[h].append(e)
+    arriving_face: dict[tuple[int, int], int] = {}  # (v, edge) -> face where it arrives at v
+    leaving_edge: dict[tuple[int, int], int] = {}   # (v, face) -> edge leaving v in it
+    passed_twice: dict[int, int] = {}               # v -> first face passing v twice
     for f, cycle in enumerate(x.faces):
-        for k in range(len(cycle)):
-            e, s = cycle[k]
-            if _cycle_endpoints(x.edges, e, s)[1] == v:
-                if e in arriving_face or f in leaving_edge:
-                    raise PreconditionError(
-                        f"face {f} passes vertex {v} twice; complex is not regular"
-                    )
-                arriving_face[e] = f
-                leaving_edge[f] = cycle[(k + 1) % len(cycle)][0]
-    if set(arriving_face) != incident:
-        raise PreconditionError(f"link of vertex {v} is incomplete")
-    e0 = min(incident)
-    walk = []
-    e = e0
-    while True:
-        f = arriving_face[e]
-        e_next = leaving_edge[f]
-        walk.append((f, e_next))
-        e = e_next
-        if e == e0:
-            break
-        if len(walk) > len(incident):
+        for k, (e, s) in enumerate(cycle):
+            v = _cycle_endpoints(x.edges, e, s)[1]
+            if (v, e) in arriving_face or (v, f) in leaving_edge:
+                passed_twice.setdefault(v, f)
+            arriving_face[v, e] = f
+            leaving_edge[v, f] = cycle[(k + 1) % len(cycle)][0]
+
+    umbrellas = []
+    for v, edges in enumerate(incident):
+        if not edges:
+            raise PreconditionError(f"vertex {v} has no incident edges")
+        if v in passed_twice:
+            raise PreconditionError(
+                f"face {passed_twice[v]} passes vertex {v} twice; complex is not regular"
+            )
+        if any((v, e) not in arriving_face for e in edges):
+            raise PreconditionError(f"link of vertex {v} is incomplete")
+        e0 = min(edges)
+        walk = []
+        e = e0
+        while True:
+            f = arriving_face[v, e]
+            e = leaving_edge[v, f]
+            walk.append((f, e))
+            if e == e0:
+                break
+            if len(walk) > len(edges):
+                raise PreconditionError(f"link of vertex {v} is not a single circle")
+        if len(walk) != len(edges):
             raise PreconditionError(f"link of vertex {v} is not a single circle")
-    if len(walk) != len(incident):
-        raise PreconditionError(f"link of vertex {v} is not a single circle")
-    return walk
+        umbrellas.append(walk)
+    return umbrellas
 
 
-def poincare_dual(x: CellComplex) -> tuple[CellComplex, DualCorrespondence]:
+def poincare_dual(x: CellComplex) -> CellComplex:
     """Dual of a closed spherical 2-complex.
 
     Dual vertices <- faces, dual edges <- edges (oriented left face ->
     right face), dual faces <- vertices (boundary cycles from the
-    coherent umbrella walks).  chi is preserved and the dual validates
-    like any other complex, including boundary-of-boundary vanishing.
+    coherent umbrella walks).  Dual cells keep the indices of the primal
+    cells they come from.  chi is preserved and the dual validates like
+    any other complex, including boundary-of-boundary vanishing.
     """
     if not x.faces:
         raise PreconditionError("dual needs a 2-complex")
@@ -483,26 +479,11 @@ def poincare_dual(x: CellComplex) -> tuple[CellComplex, DualCorrespondence]:
         raise PreconditionError(
             "complex is not closed: some edge lacks two opposite-sign faces"
         )
-    dual_edges = []
-    for e in range(x.nedges):
-        fl, fr = x.left_right_faces(e)
-        dual_edges.append((fl, fr))
-
-    dual_faces = []
-    for v in range(x.nverts):
-        walk = _umbrella(x, v)
-        cycle = []
-        for f, e_next in walk:
-            fl, _ = x.left_right_faces(e_next)
-            # the dual edge of e_next is oriented left -> right; we cross
-            # it leaving dual vertex f
-            cycle.append((e_next, +1 if f == fl else -1))
-        dual_faces.append(cycle)
-
-    dual = build_complex(x.nfaces, dual_edges, dual_faces)
-    corr = DualCorrespondence(
-        vertex_to_dual_face=tuple(range(x.nverts)),
-        edge_to_dual_edge=tuple(range(x.nedges)),
-        face_to_dual_vertex=tuple(range(x.nfaces)),
-    )
-    return dual, corr
+    dual_edges = [x.left_right_faces(e) for e in range(x.nedges)]
+    # the dual edge of e_next is oriented left -> right; the walk crosses
+    # it leaving dual vertex f
+    dual_faces = [
+        [(e_next, +1 if f == dual_edges[e_next][0] else -1) for f, e_next in walk]
+        for walk in _umbrellas(x)
+    ]
+    return build_complex(x.nfaces, dual_edges, dual_faces)

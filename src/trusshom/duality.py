@@ -19,7 +19,6 @@ from typing import Optional, Sequence
 
 from .complexes import (
     CellComplex,
-    DualCorrespondence,
     Embedding,
     edge_vector,
     planar_faces,
@@ -213,7 +212,6 @@ class ForceDiagram:
 
     form: FormDiagram
     dual: CellComplex
-    correspondence: DualCorrespondence
     positions: tuple[Point, ...]
 
     def dual_segment(self, e: int) -> tuple[Point, Point]:
@@ -250,7 +248,7 @@ def _integrate_dual_tree(
     ``edges``; closure over the other dual edges is checked exactly and
     cannot fail for a genuine stress."""
     x = t.complex
-    sides = x.left_right_table(edges)
+    sides = {e: x.left_right_faces(e) for e in edges}
     steps = {}
     adj: dict[int, list[tuple[int, Point]]] = {f: [] for f in faces}
     for e, (fl, fr) in sides.items():
@@ -283,9 +281,9 @@ def force_diagram_from_stress(fd: FormDiagram, stress: Sequence[Fraction]) -> Fo
     positions follow from the dual tree integration above."""
     s = _check_selfstress(fd, stress)
     x = fd.complex
-    dual, corr = poincare_dual(x)
+    dual = poincare_dual(x)
     q = _integrate_dual_tree(fd.truss, range(x.nfaces), range(x.nedges), x.exterior_face, s)
-    return ForceDiagram(fd, dual, corr, tuple(q[f] for f in range(x.nfaces)))
+    return ForceDiagram(fd, dual, tuple(q[f] for f in range(x.nfaces)))
 
 
 def stress_from_force_diagram(

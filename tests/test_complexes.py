@@ -96,14 +96,14 @@ def test_poincare_dual_tetrahedron_counts():
     emb = Embedding.from_points([(0, 0), (4, 0), (2, 4), (2, 1)])
     sph = planar_faces(x, emb)
     assert (sph.nverts, sph.nedges, sph.nfaces) == (4, 6, 4)
-    dual, _ = poincare_dual(sph)
+    dual = poincare_dual(sph)
     assert (dual.nverts, dual.nedges, dual.nfaces) == (4, 6, 4)
     assert euler_char(dual) == 2
 
 
 def test_poincare_dual_wheel5_count_swap():
     x = wheel5(with_faces=True).complex
-    dual, corr = poincare_dual(x)
+    dual = poincare_dual(x)
     assert (dual.nverts, dual.nedges, dual.nfaces) == (x.nfaces, x.nedges, x.nverts)
     assert dual.is_closed_surface()
 
@@ -115,16 +115,34 @@ def test_poincare_dual_rejects_open_disk():
         poincare_dual(x)
 
 
+def test_poincare_dual_rejects_pinched_sphere():
+    # two tetrahedra glued at vertex 0: a closed surface whose link at the
+    # shared vertex is two circles
+    edges, faces = [], []
+    for a, b, c, d in ((0, 1, 2, 3), (0, 4, 5, 6)):
+        for tri in ((b, c, d), (a, d, c), (a, b, d), (a, c, b)):
+            cycle = []
+            for t, h in zip(tri, tri[1:] + tri[:1]):
+                if (h, t) in edges:
+                    cycle.append((edges.index((h, t)), -1))
+                    continue
+                if (t, h) not in edges:
+                    edges.append((t, h))
+                cycle.append((edges.index((t, h)), 1))
+            faces.append(cycle)
+    x = build_complex(7, edges, faces)
+    assert x.is_closed_surface()
+    with pytest.raises(PreconditionError, match="not a single circle"):
+        poincare_dual(x)
+
+
 def test_dual_of_dual_identity_on_labels():
     x = wheel5(with_faces=True).complex
-    dual, corr = poincare_dual(x)
-    ddual, corr2 = poincare_dual(dual)
+    ddual = poincare_dual(poincare_dual(x))
     assert (ddual.nverts, ddual.nedges, ddual.nfaces) == (x.nverts, x.nedges, x.nfaces)
-    # correspondences are index-aligned, so composing them is the identity
-    for e in range(x.nedges):
-        assert corr2.edge_to_dual_edge[corr.edge_to_dual_edge[e]] == e
-    for v in range(x.nverts):
-        assert corr2.face_to_dual_vertex[corr.vertex_to_dual_face[v]] == v
+    # dual cells keep their primal indices, and dualizing twice restores
+    # every edge with its orientation
+    assert ddual.edges == x.edges
 
 
 def test_boundary_of_boundary_vanishes_on_spheres():

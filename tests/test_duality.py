@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from trusshom.complexes import Embedding, build_complex
+from trusshom.complexes import CellComplex, Embedding, build_complex
 from trusshom.cosheaves import Subcomplex, quotient_cosheaf, restrict_to_subcomplex
+from trusshom.documents import LoadedTruss, force_diagram_document
 from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.homology import betti_numbers
 from trusshom.samples import loaded_triangle, square4, tri3_spherical, wheel5
@@ -123,6 +124,32 @@ def test_dual_tree_integration_keeps_its_checks(wheel):
     bare = Truss(build_complex(2, [(0, 1)]), Embedding.from_points([(0, 0), (1, 0)]))
     with pytest.raises(PreconditionError, match="exactly two faces"):
         _integrate_dual_tree(bare, [], [0], 0, [Q(1)])
+
+
+def test_face_table_is_built_once_per_complex(rng, monkeypatch):
+    built = []
+    build = CellComplex.edge_face_signs
+
+    def counting_build(x):
+        built.append(x)
+        return build(x)
+
+    monkeypatch.setattr(CellComplex, "edge_face_signs", counting_build)
+    diagrams = 0
+    for _ in range(6):
+        t = random_form_truss(rng)
+        fd = FormDiagram(t)
+        x = fd.complex
+        ids = tuple(f"e{e}" for e in range(x.nedges))
+        loaded = LoadedTruss(None, t, tuple(f"v{v}" for v in range(x.nverts)), ids, None)
+        for s in analyze(t).self_stress_basis:
+            diag = force_diagram_from_stress(fd, s)
+            assert stress_from_force_diagram(fd, diag.positions) == list(s)
+            force_diagram_document(diag, loaded, s)
+            diagrams += 1
+    assert diagrams >= 2
+    builds, complexes = len(built), len({id(x) for x in built})
+    assert builds == complexes
 
 
 def test_stress_roundtrip_exact(wheel):

@@ -63,15 +63,16 @@ def test_random_forms_face_count_matches_euler(rng):
 def test_random_forms_dual_roundtrip_and_validity(rng):
     for _ in range(12):
         t = random_form_truss(rng)
-        dual, corr = poincare_dual(t.complex)
+        dual = poincare_dual(t.complex)
         assert dual.is_closed_surface()
         assert euler_char(dual) == 2
-        ddual, corr2 = poincare_dual(dual)
+        ddual = poincare_dual(dual)
         assert (ddual.nverts, ddual.nedges, ddual.nfaces) == (
             t.complex.nverts,
             t.complex.nedges,
             t.complex.nfaces,
         )
+        assert ddual.edges == t.complex.edges
 
 
 def test_random_forms_selfstress_diagrams_close_and_parallel(rng):
