@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, cmp_to_key
+from math import lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import InputError, InternalCheckError, PreconditionError
@@ -261,7 +262,8 @@ def _on_segment(p, a, b) -> bool:
 
 def segments_conflict(a, b, c, d) -> bool:
     """True when closed segments ab and cd share any point that is not a
-    common endpoint.  Exact rational arithmetic, no tolerances."""
+    common endpoint.  Exact on integer or rational coordinates, no
+    tolerances."""
     o1 = _orient(a, b, c)
     o2 = _orient(a, b, d)
     o3 = _orient(c, d, a)
@@ -286,9 +288,32 @@ def segments_conflict(a, b, c, d) -> bool:
     return False
 
 
+def _integer_scaled(points):
+    """Integer points from ``(x numerator, x denominator, y numerator,
+    y denominator)`` tuples: each axis is multiplied by the lcm of that
+    axis's denominators among them.  A positive scaling of each axis keeps
+    every orientation sign and every interval order, so segment tests on
+    the result are exact and need only integer arithmetic."""
+    sx = lcm(*(p[1] for p in points))
+    sy = lcm(*(p[3] for p in points))
+    return [(nx * (sx // dx), ny * (sy // dy)) for nx, dx, ny, dy in points]
+
+
 def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
-    """O(E^2) exact pairwise segment check; also requires injective
-    positions so that geometric coincidence means combinatorial identity."""
+    """Reject a planar straight-line graph whose members cross or overlap;
+    also requires injective positions so that geometric coincidence means
+    combinatorial identity.
+
+    Only pairs of edges whose closed bounding boxes meet can conflict, so
+    the edges are swept in order of their smallest x with an active list
+    that drops an edge once its largest x lies below the sweep; a pair
+    becomes a candidate when its y-intervals also overlap (closed, so
+    touching boxes are kept).  Each candidate's four points are scaled to
+    integers per axis by the lcm of their own denominators and tested with
+    ``segments_conflict``.  Candidates are tested in ascending ``(i, j)``
+    order, so the pair reported is the smallest conflicting pair, the same
+    one an all-pairs scan would report.
+    """
     seen = {}
     for v in range(x.nverts):
         pos = emb.p(v)
@@ -297,10 +322,35 @@ def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
                 f"vertices {seen[pos]} and {v} occupy the same position"
             )
         seen[pos] = v
-    for i in range(x.nedges):
-        a, b = (emb.p(v) for v in x.edges[i])
-        for j in range(i + 1, x.nedges):
-            c, d = (emb.p(v) for v in x.edges[j])
+    # each coordinate replaced by its rank among the distinct values on its
+    # axis: the boxes keep their order relations and compare as integers
+    ranks = [
+        {c: k for k, c in enumerate(sorted({p[axis] for p in emb.positions}))}
+        for axis in (0, 1)
+    ]
+    grid = [(ranks[0][p[0]], ranks[1][p[1]]) for p in emb.positions]
+    boxes = []
+    for t, h in x.edges:
+        (xa, ya), (xb, yb) = grid[t], grid[h]
+        boxes.append((min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb)))
+    # later[i]: the candidate partners j > i of edge i; one int per pair
+    # keeps memory small where most pairs meet, as around a fan's hub
+    later: list[list[int]] = [[] for _ in range(x.nedges)]
+    active: list[int] = []
+    for i in sorted(range(x.nedges), key=lambda e: boxes[e][0]):
+        xlo, _, ylo, yhi = boxes[i]
+        active = [j for j in active if boxes[j][1] >= xlo]
+        for j in active:
+            if boxes[j][2] <= yhi and ylo <= boxes[j][3]:
+                later[min(i, j)].append(max(i, j))
+        active.append(i)
+    ratios = [
+        (px.numerator, px.denominator, py.numerator, py.denominator)
+        for px, py in emb.positions
+    ]
+    for i, partners in enumerate(later):
+        for j in sorted(partners):
+            a, b, c, d = _integer_scaled([ratios[v] for v in x.edges[i] + x.edges[j]])
             if segments_conflict(a, b, c, d):
                 raise PreconditionError(f"edges {i} and {j} cross or overlap")
 

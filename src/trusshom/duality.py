@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 from .complexes import (
     CellComplex,
     Embedding,
+    check_noncrossing,
     edge_vector,
     planar_faces,
     poincare_dual,
@@ -103,9 +104,13 @@ class FormDiagram:
 
 
 def form_diagram(t: Truss) -> FormDiagram:
-    """Promote a planar truss to a form diagram, tracing faces if absent."""
+    """Promote a planar truss to a form diagram, tracing faces if absent.
+    Given faces are accepted only when no two members cross or overlap;
+    face tracing makes the same check itself."""
     if t.complex.faces:
-        return FormDiagram(t)
+        fd = FormDiagram(t)
+        check_noncrossing(t.complex, t.embedding)
+        return fd
     return FormDiagram(Truss(planar_faces(t.complex, t.embedding), t.embedding))
 
 

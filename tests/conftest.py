@@ -16,7 +16,14 @@ from pathlib import Path
 
 import pytest
 
-from trusshom.complexes import CellComplex, Embedding, build_complex, planar_faces
+from trusshom.complexes import (
+    CellComplex,
+    Embedding,
+    build_complex,
+    planar_faces,
+    segments_conflict,
+)
+from trusshom.errors import PreconditionError
 from trusshom.statics import Truss
 
 Q = Fraction
@@ -74,6 +81,30 @@ def matrix_rows(m):
     for (i, j), v in m.entries.items():
         out[i][j] = v
     return out
+
+
+# ---------------------------------------------------------------------------
+# all-pairs crossing oracle
+# ---------------------------------------------------------------------------
+
+
+def all_pairs_noncrossing(x: CellComplex, emb: Embedding) -> None:
+    """Reference crossing test: every pair of edges, in (i, j) order, on
+    the rational coordinates; raises on the first conflict."""
+    seen = {}
+    for v in range(x.nverts):
+        pos = emb.p(v)
+        if pos in seen:
+            raise PreconditionError(
+                f"vertices {seen[pos]} and {v} occupy the same position"
+            )
+        seen[pos] = v
+    for i in range(x.nedges):
+        a, b = (emb.p(v) for v in x.edges[i])
+        for j in range(i + 1, x.nedges):
+            c, d = (emb.p(v) for v in x.edges[j])
+            if segments_conflict(a, b, c, d):
+                raise PreconditionError(f"edges {i} and {j} cross or overlap")
 
 
 # ---------------------------------------------------------------------------

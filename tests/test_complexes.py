@@ -1,10 +1,17 @@
+import random
+import re
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from trusshom import complexes
 from trusshom.complexes import (
     Embedding,
+    _orient,
     build_complex,
+    check_noncrossing,
     euler_char,
     planar_faces,
     poincare_dual,
@@ -15,7 +22,7 @@ from trusshom.errors import InputError, PreconditionError
 from trusshom.homology import betti_numbers
 from trusshom.samples import square4, wheel5
 
-from conftest import flip_edge, flip_face
+from conftest import all_pairs_noncrossing, flip_edge, flip_face
 
 Q = Fraction
 
@@ -186,6 +193,171 @@ def test_segment_conflicts():
     assert not segments_conflict(a, b, (Q(2), Q(0)), (Q(4), Q(0)))
     # no contact at all
     assert not segments_conflict(a, b, (Q(0), Q(1)), (Q(2), Q(1)))
+
+
+def crossing_verdict(check, x, emb):
+    """None when ``check`` accepts the embedding, else its message."""
+    try:
+        check(x, emb)
+    except PreconditionError as exc:
+        return str(exc)
+    return None
+
+
+def _random_drawing(rng: random.Random):
+    """A small straight-line drawing rich in degenerate contacts.
+
+    Coordinates mix the coprime denominators 1, 2, 3, 5 and 7.  A few
+    random members are drawn, then one of: nothing more, a vertex on an
+    existing position, a T-junction (a member starting inside another), a
+    member on the line of another (overlapping, touching or disjoint), or
+    a member between two existing vertices (sharing their endpoints)."""
+    pts = [
+        (Q(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5, 7))),
+         Q(rng.randrange(-6, 7), rng.choice((1, 2, 3, 5, 7))))
+        for _ in range(rng.randrange(3, 7))
+    ]
+    edges = [(0, 1)] + [
+        tuple(rng.sample(range(len(pts)), 2)) for _ in range(rng.randrange(0, 4))
+    ]
+
+    def along(e, t):
+        (ax, ay), (bx, by) = (pts[v] for v in edges[e])
+        pts.append((ax + t * (bx - ax), ay + t * (by - ay)))
+        return len(pts) - 1
+
+    feature = rng.randrange(5)
+    e = rng.randrange(len(edges))
+    if feature == 1:
+        pts.append(rng.choice(pts))
+    elif feature == 2:
+        foot = along(e, Q(rng.randrange(1, 5), 5))
+        edges.append((foot, rng.randrange(len(pts) - 1)))
+    elif feature == 3:
+        ts = [Q(rng.randrange(-5, 11), d) for d in rng.sample((2, 3, 5), 2)]
+        edges.append((along(e, ts[0]), along(e, ts[1])))
+    elif feature == 4:
+        edges.append(tuple(rng.sample(range(len(pts)), 2)))
+    edges = list({frozenset(m): m for m in edges if m[0] != m[1]}.values())
+    rng.shuffle(edges)
+    return build_complex(len(pts), edges), Embedding.from_points(pts)
+
+
+def _verdict_kind(x, emb, verdict):
+    if verdict is None:
+        return "accepted"
+    if "same position" in verdict:
+        return "same position"
+    i, j = map(int, re.findall(r"\d+", verdict))
+    a, b, c, d = (emb.p(v) for v in x.edges[i] + x.edges[j])
+    signs = [_orient(a, b, c), _orient(a, b, d), _orient(c, d, a), _orient(c, d, b)]
+    if signs[0] == signs[1] == 0:
+        return "collinear overlap"
+    return "T-junction" if 0 in signs else "proper crossing"
+
+
+def test_pruned_crossing_check_matches_all_pairs_oracle():
+    rng = random.Random(5)
+    kinds = Counter()
+    for _ in range(3000):
+        x, emb = _random_drawing(rng)
+        got = crossing_verdict(check_noncrossing, x, emb)
+        assert got == crossing_verdict(all_pairs_noncrossing, x, emb), (x, emb)
+        kinds[_verdict_kind(x, emb, got)] += 1
+    assert len(kinds) == 5 and min(kinds.values()) >= 150, kinds
+
+
+def _comb(slope, gaps, shift):
+    """100 vertical teeth above the member y = slope*x + shift from
+    x = -1 to x = 100; tooth k starts gaps[k] above the line at x = k.
+    The teeth are edges 0..99 and the long member is edge 100."""
+    line = [(Q(-1), -slope + shift), (Q(100), 100 * slope + shift)]
+    pts = []
+    for k in range(100):
+        base = k * slope + gaps[k]
+        pts += [(Q(k), base), (Q(k), base + 1)]
+    edges = [(2 * k, 2 * k + 1) for k in range(100)] + [(200, 201)]
+    return build_complex(202, edges), Embedding.from_points(pts + line)
+
+
+@pytest.mark.parametrize("slope", [Q(0), Q(37, 101)])
+def test_comb_of_near_touching_members(slope):
+    gap = Q(1, 10**9)
+    gaps = [gap if k in (41, 77) else 2 * gap for k in range(100)]
+    x, emb = _comb(slope, gaps, Q(0))
+    check_noncrossing(x, emb)
+    # raised by exactly the gap, the long member passes through the lower
+    # endpoints of teeth 41 and 77
+    x, emb = _comb(slope, gaps, gap)
+    with pytest.raises(PreconditionError, match="^edges 41 and 100 cross or overlap$"):
+        check_noncrossing(x, emb)
+
+
+def test_collinear_chain_shares_only_endpoints():
+    pts = [(Q(k, 3), Q(2 * k, 7)) for k in range(21)]
+    chain = [(k, k + 1) for k in range(20)]
+    emb = Embedding.from_points(pts)
+    check_noncrossing(build_complex(21, chain), emb)
+    # a member from vertex 5 to vertex 7 overlaps members 5 and 6
+    with pytest.raises(PreconditionError, match="^edges 5 and 20 cross or overlap$"):
+        check_noncrossing(build_complex(21, chain + [(5, 7)]), emb)
+
+
+def _grid(n, y):
+    """n x n grid truss: vertex (i, j) at (j, y(i, j)); horizontal and
+    vertical members and the diagonal (i, j) -> (i+1, j+1) in every cell
+    with i + j even."""
+    index = {(i, j): i * n + j for i in range(n) for j in range(n)}
+    pts = [(Q(j), y(i, j)) for i in range(n) for j in range(n)]
+    edges = [(index[i, j], index[i, j + 1]) for i in range(n) for j in range(n - 1)]
+    edges += [(index[i, j], index[i + 1, j]) for i in range(n - 1) for j in range(n)]
+    edges += [
+        (index[i, j], index[i + 1, j + 1])
+        for i in range(n - 1) for j in range(n - 1) if (i + j) % 2 == 0
+    ]
+    return build_complex(n * n, edges), Embedding.from_points(pts)
+
+
+def test_crossing_check_tests_only_nearby_pairs(monkeypatch):
+    calls = []
+    real = complexes.segments_conflict
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(complexes, "segments_conflict", counting)
+    x, emb = _grid(12, lambda i, j: i + Q(j * j, 97))
+    planar_faces(x, emb)
+    assert 0 < len(calls) <= 6 * x.nedges  # all pairs would be E(E-1)/2
+
+
+def _primes_from(start, count):
+    out, p = [], start
+    while len(out) < count:
+        if all(p % d for d in range(2, int(p**0.5) + 1)):
+            out.append(p)
+        p += 1
+    return out
+
+
+def test_crossing_check_with_distinct_prime_denominators():
+    # every vertex's y has its own ~2^20 prime denominator, so a common
+    # denominator of the whole embedding would have ~8000 bits
+    n = 20
+    primes = _primes_from(2**20, n * n)
+    x, emb = _grid(n, lambda i, j: i + Q(1, primes[i * n + j]))
+    start = time.perf_counter()
+    check_noncrossing(x, emb)
+    # a vertical member from (1/2, -1) to (1/2, 1/4) crosses member 0 only
+    crossed = build_complex(x.nverts + 2, x.edges + ((x.nverts, x.nverts + 1),))
+    crossed_emb = Embedding.from_points(
+        emb.positions + ((Q(1, 2), Q(-1)), (Q(1, 2), Q(1, 4)))
+    )
+    got = crossing_verdict(check_noncrossing, crossed, crossed_emb)
+    assert time.perf_counter() - start < 5
+    assert got == f"edges 0 and {x.nedges} cross or overlap"
+    assert got == crossing_verdict(all_pairs_noncrossing, crossed, crossed_emb)
 
 
 def test_embedding_rejects_coincident_edge_endpoints():

@@ -112,6 +112,23 @@ def _square_document(inner_sign=1):
     }
 
 
+def test_given_faces_do_not_skip_the_crossing_check(tmp_path):
+    # the square's layout with b and c swapped: members ab and cd cross
+    doc = _square_document()
+    doc["vertices"][1]["pos"] = ["1", "1"]
+    doc["vertices"][2]["pos"] = ["1", "0"]
+    f = tmp_path / "bowtie.json"
+    f.write_text(json.dumps(doc))
+    for command in ("dual", "rotations"):
+        proc = run_cli(command, str(f))
+        assert proc.returncode == 2
+        assert "edges 0 and 2 cross or overlap" in proc.stderr
+    proc = run_cli("check", str(f))
+    assert proc.returncode == 0
+    checks = {c["name"]: c for c in json.loads(proc.stdout)["checks"]}
+    assert checks["planar_duality"]["detail"] == "skipped: edges 0 and 2 cross or overlap"
+
+
 def test_boolean_dim_rejected(tmp_path):
     doc = _square_document()
     doc["dim"] = True
