@@ -288,17 +288,6 @@ def segments_conflict(a, b, c, d) -> bool:
     return False
 
 
-def _integer_scaled(points):
-    """Integer points from ``(x numerator, x denominator, y numerator,
-    y denominator)`` tuples: each axis is multiplied by the lcm of that
-    axis's denominators among them.  A positive scaling of each axis keeps
-    every orientation sign and every interval order, so segment tests on
-    the result are exact and need only integer arithmetic."""
-    sx = lcm(*(p[1] for p in points))
-    sy = lcm(*(p[3] for p in points))
-    return [(nx * (sx // dx), ny * (sy // dy)) for nx, dx, ny, dy in points]
-
-
 def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
     """Reject a planar straight-line graph whose members cross or overlap;
     also requires injective positions so that geometric coincidence means
@@ -308,11 +297,10 @@ def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
     the edges are swept in order of their smallest x with an active list
     that drops an edge once its largest x lies below the sweep; a pair
     becomes a candidate when its y-intervals also overlap (closed, so
-    touching boxes are kept).  Each candidate's four points are scaled to
-    integers per axis by the lcm of their own denominators and tested with
-    ``segments_conflict``.  Candidates are tested in ascending ``(i, j)``
-    order, so the pair reported is the smallest conflicting pair, the same
-    one an all-pairs scan would report.
+    touching boxes are kept).  Each candidate is tested exactly, in
+    integers, with ``segments_conflict``, in ascending ``(i, j)`` order, so
+    the pair reported is the smallest conflicting pair, the same one an
+    all-pairs scan would report.
     """
     seen = {}
     for v in range(x.nverts):
@@ -322,16 +310,10 @@ def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
                 f"vertices {seen[pos]} and {v} occupy the same position"
             )
         seen[pos] = v
-    # each coordinate replaced by its rank among the distinct values on its
-    # axis: the boxes keep their order relations and compare as integers
-    ranks = [
-        {c: k for k, c in enumerate(sorted({p[axis] for p in emb.positions}))}
-        for axis in (0, 1)
-    ]
-    grid = [(ranks[0][p[0]], ranks[1][p[1]]) for p in emb.positions]
+    pts = emb.positions
     boxes = []
     for t, h in x.edges:
-        (xa, ya), (xb, yb) = grid[t], grid[h]
+        (xa, ya), (xb, yb) = pts[t], pts[h]
         boxes.append((min(xa, xb), max(xa, xb), min(ya, yb), max(ya, yb)))
     # later[i]: the candidate partners j > i of edge i; one int per pair
     # keeps memory small where most pairs meet, as around a fan's hub
@@ -344,13 +326,17 @@ def check_noncrossing(x: CellComplex, emb: Embedding) -> None:
             if boxes[j][2] <= yhi and ylo <= boxes[j][3]:
                 later[min(i, j)].append(max(i, j))
         active.append(i)
-    ratios = [
-        (px.numerator, px.denominator, py.numerator, py.denominator)
-        for px, py in emb.positions
-    ]
+    # each pair is tested on integers: its four points scaled per axis by
+    # the lcm of their own denominators, which keeps every orientation sign
+    # and interval order; Fraction arithmetic is several times slower, and
+    # one denominator for the whole drawing grows with each new one
+    ratios = [(p.numerator, p.denominator, q.numerator, q.denominator) for p, q in pts]
     for i, partners in enumerate(later):
         for j in sorted(partners):
-            a, b, c, d = _integer_scaled([ratios[v] for v in x.edges[i] + x.edges[j]])
+            four = [ratios[v] for v in x.edges[i] + x.edges[j]]
+            sx = lcm(*(r[1] for r in four))
+            sy = lcm(*(r[3] for r in four))
+            a, b, c, d = [(nx * (sx // dx), ny * (sy // dy)) for nx, dx, ny, dy in four]
             if segments_conflict(a, b, c, d):
                 raise PreconditionError(f"edges {i} and {j} cross or overlap")
 
