@@ -25,7 +25,7 @@ from .cosheaves import (
     check_cosheaf_map,
     constant_cosheaf,
     force_cosheaf,
-    quotient_cosheaf,
+    quotient_by_subcomplex,
     restrict_to_subcomplex,
     spline_cosheaf,
 )

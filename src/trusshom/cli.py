@@ -169,13 +169,11 @@ def cmd_relative(args) -> dict:
     fd, loaded = document_to_form_diagram(_load_document(args.file))
     dec = loaded.boundary_decomposition()
     eq = equilibrium_stresses(dec)
-    stress = None
-    if args.stress is not None:
-        if not 0 <= args.stress < len(eq):
-            raise InputError(
-                f"--stress {args.stress}: decomposition has {len(eq)} equilibrium states"
-            )
-        stress = eq[args.stress]
+    if args.stress is not None and not 0 <= args.stress < len(eq):
+        raise InputError(
+            f"--stress {args.stress}: decomposition has {len(eq)} equilibrium states"
+        )
+    stress = eq[args.stress or 0] if eq else [Q(0)] * loaded.truss.complex.nedges
     rel = relative_force_diagram(dec, stress)
     if args.svg:
         Path(args.svg).write_text(render_svg(rel))
@@ -255,7 +253,7 @@ def cmd_check(args) -> dict:
 
     if loaded.document.boundary is not None:
         dec = loaded.boundary_decomposition()
-        seq = les_dimension_check(dec.presentation.inclusion, dec.presentation)
+        seq = les_dimension_check(dec.presentation)
         record(
             "boundary_sequence_dimensions", seq.exactness_consistent,
             f"alternating sum {seq.alternating_sum}",

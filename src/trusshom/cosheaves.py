@@ -7,9 +7,9 @@ class: their matrices are empty, never deleted, so constructions like
 force cosheaves (zero face stalks) need no special casing.
 
 The module houses the builders used elsewhere (constant, force, spline),
-restriction to a closed subcomplex, quotients by stalkwise-injective
-inclusions, cosheaf maps with their commuting-square checks, and the
-assembly of cosheaf boundary matrices into a ChainComplex.
+restriction to a closed subcomplex, the quotient by a subcomplex
+(extension by zero), cosheaf maps with their commuting-square checks,
+and the assembly of cosheaf boundary matrices into a ChainComplex.
 """
 
 from __future__ import annotations
@@ -19,9 +19,9 @@ from fractions import Fraction
 from math import prod
 
 from .complexes import CellComplex, CellId, Embedding, ecell, edge_vector, fcell, validate_embedding, vcell
-from .errors import InputError, InternalCheckError, PreconditionError
+from .errors import InputError, PreconditionError
 from .homology import ChainComplex
-from .sparse import SparseMatrix, kernel_basis, rank, solve_particular
+from .sparse import SparseMatrix
 
 Q = Fraction
 
@@ -350,9 +350,7 @@ class QuotientPresentation:
     """A quotient cosheaf together with the matrices realizing it.
 
     projections[c]: G_c -> Q_c and sections[c]: Q_c -> G_c satisfy
-    projection . inclusion = 0 and projection . section = identity; the
-    section picks the exact orthogonal complement of the included
-    subspace under the rational dot product."""
+    projection . inclusion = 0 and projection . section = identity."""
 
     inclusion: CosheafMap
     quotient: Cosheaf
@@ -363,68 +361,28 @@ class QuotientPresentation:
         return CosheafMap(self.inclusion.target, self.quotient, self.projections)
 
 
-def _orthogonal_presentation(phi: SparseMatrix):
-    """(projection, section) for the quotient of the target of ``phi`` by
-    its image: the section's columns span ker(phi^T), the orthogonal
-    complement; the projection solves the Gram system, so projection .
-    section = identity and projection . phi = 0 exactly."""
-    complement = kernel_basis(phi.transpose())
-    w = SparseMatrix.from_columns(complement, phi.rows)
-    gram = w.transpose() @ w
-    proj_rows = []
-    wt = w.transpose()
-    for col in range(phi.rows):
-        rhs = [wt.get(i, col) for i in range(wt.rows)]
-        sol = solve_particular(gram, rhs)
-        if sol is None:
-            raise InternalCheckError("Gram system unsolvable for quotient projection")
-        proj_rows.append(sol)
-    entries = {
-        (i, j): proj_rows[j][i]
-        for j in range(phi.rows)
-        for i in range(w.cols)
-        if proj_rows[j][i]
+def quotient_by_subcomplex(f: Cosheaf, y: Subcomplex) -> QuotientPresentation:
+    """F / F_Y for the restriction inclusion F_Y -> F: extension by zero.
+
+    The inclusion is the identity over Y and zero elsewhere, so the
+    quotient keeps F's stalks and maps off Y and has zero stalks on Y; a
+    map into Y (every map with an end on Y, as Y is closed) becomes the
+    empty matrix of its shape.  The projections and sections are
+    identities off Y and empty on Y, so the splitting, the induced maps
+    and the commuting squares hold by construction and no elimination
+    is needed."""
+    _, incl = restrict_to_subcomplex(f, y)
+    ycells = y.cells()
+    qdims = {c: (0 if c in ycells else d) for c, d in f.stalk_dims.items()}
+    qmaps = {
+        (hi, lo): SparseMatrix(0, qdims[hi]) if lo in ycells else m
+        for (hi, lo), m in f.maps.items()
     }
-    projection = SparseMatrix(w.cols, phi.rows, entries)
-    return projection, w
-
-
-def quotient_cosheaf(incl: CosheafMap) -> QuotientPresentation:
-    """Quotient of the target cosheaf by a stalkwise-injective inclusion.
-
-    Checks injectivity of every stalk component and the commuting
-    squares, then builds quotient stalks of dimension dim G - dim F with
-    induced maps (verified to kill the included image)."""
-    bad = check_cosheaf_map(incl)
-    if bad:
-        raise PreconditionError(
-            f"inclusion is not a cosheaf map; {len(bad)} commuting squares fail"
-        )
-    f, g = incl.source, incl.target
-    projections: dict[CellId, SparseMatrix] = {}
-    sections: dict[CellId, SparseMatrix] = {}
-    qdims: dict[CellId, int] = {}
-    for c in g.base.cells():
-        phi = incl.component(c)
-        if rank(phi) != phi.cols:
-            raise PreconditionError(f"inclusion is not injective at {c}")
-        proj, sect = _orthogonal_presentation(phi)
-        if not (proj @ phi).is_zero():
-            raise InternalCheckError(f"projection does not kill the image at {c}")
-        if proj @ sect != SparseMatrix.identity(proj.rows):
-            raise InternalCheckError(f"projection . section != identity at {c}")
-        projections[c] = proj
-        sections[c] = sect
-        qdims[c] = g.stalk_dims[c] - f.stalk_dims[c]
-    qmaps = {}
-    for hi, lo, _ in incidence_pairs(g.base):
-        induced = projections[lo] @ g.maps[(hi, lo)] @ sections[hi]
-        killed = projections[lo] @ g.maps[(hi, lo)] @ incl.component(hi)
-        if not killed.is_zero():
-            raise InternalCheckError(f"induced map at {hi} > {lo} is not well-defined")
-        qmaps[(hi, lo)] = induced
-    quotient = Cosheaf(g.base, qdims, qmaps)
-    qp = QuotientPresentation(incl, quotient, projections, sections)
-    if check_cosheaf_map(qp.projection_map()):
-        raise InternalCheckError("quotient projection is not a cosheaf map")
-    return qp
+    projections = {}
+    sections = {}
+    for c, d in f.stalk_dims.items():
+        if c in ycells:
+            projections[c], sections[c] = SparseMatrix(0, d), SparseMatrix(d, 0)
+        else:
+            projections[c] = sections[c] = SparseMatrix.identity(d)
+    return QuotientPresentation(incl, Cosheaf(f.base, qdims, qmaps), projections, sections)

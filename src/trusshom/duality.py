@@ -34,8 +34,7 @@ from .cosheaves import (
     check_cosheaf_map,
     constant_cosheaf,
     force_cosheaf,
-    quotient_cosheaf,
-    restrict_to_subcomplex,
+    quotient_by_subcomplex,
 )
 from .errors import InputError, InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers
@@ -487,7 +486,8 @@ def relative_force_diagram(
     """Dual-disk realization of an equilibrium stress.
 
     Same tree integration as for closed self-stresses, restricted to the
-    interior faces; the boundary loop's dual cells are omitted.  The
+    interior faces; the boundary loop's dual cells are omitted.  Without
+    a ``stress`` the first equilibrium basis stress is realized.  The
     dimension identity between equilibrium stresses and relative dual
     realizations (up to translation) is asserted."""
     t = dec.truss
@@ -496,8 +496,8 @@ def relative_force_diagram(
         raise PreconditionError("relative diagrams need a form diagram with faces")
     _check_open_disk(x, dec.loop)
 
-    basis = equilibrium_stresses(dec)
     if stress is None:
+        basis = equilibrium_stresses(dec)
         s = basis[0] if basis else [Q(0)] * x.nedges
     else:
         if len(stress) != x.nedges:
@@ -520,14 +520,14 @@ def relative_force_diagram(
     g_loop = Subcomplex.of(
         x, dec.loop.vertices, dec.loop.edges, {x.exterior_face}
     )
-    _, incl = restrict_to_subcomplex(pc.cosheaf, g_loop)
-    rel_pos = quotient_cosheaf(incl).quotient
+    rel_pos = quotient_by_subcomplex(pc.cosheaf, g_loop).quotient
     rel_pos_chain = boundary_matrices(rel_pos)
     h2 = rel_pos_chain.dims[2] - rank(rel_pos_chain.boundary(2))
-    if h2 != len(basis) + 2:
+    eq_dim = betti_numbers(rel_chain)[1]
+    if h2 != eq_dim + 2:
         raise InternalCheckError(
             f"relative dual realization dimension {h2} != equilibrium "
-            f"dimension {len(basis)} plus 2"
+            f"dimension {eq_dim} plus 2"
         )
 
     return RelativeForceDiagram(dec, s, tuple(faces), q)

@@ -165,23 +165,28 @@ class SequenceReport:
         return self.rank_h1_projection == self.dims_total[1]
 
 
-def les_dimension_check(inclusion, quotient_presentation) -> "SequenceReport":
+def les_dimension_check(presentation) -> "SequenceReport":
     """Homology dimensions of A >-> B ->> B/A and the induced maps on H1.
 
-    The alternating sum of dimensions along the long exact sequence must
-    vanish; a nonzero sum is an internal failure.  Induced maps are
-    computed by pushing representatives through the stalkwise chain maps
-    and measuring rank modulo the target's boundaries.
+    The projection's chain maps must commute with the boundaries, and the
+    alternating sum of dimensions along the long exact sequence must
+    vanish; either failure is internal.  Induced maps are computed by
+    pushing representatives through the stalkwise chain maps and
+    measuring rank modulo the target's boundaries.
     """
     from .cosheaves import boundary_matrices, chain_map_matrices  # import cycle
 
-    sub = inclusion.source
-    total = inclusion.target
-    quot = quotient_presentation.quotient
+    inclusion = presentation.inclusion
+    cc_sub = boundary_matrices(inclusion.source)
+    cc_total = boundary_matrices(inclusion.target)
+    cc_quot = boundary_matrices(presentation.quotient)
 
-    cc_sub = boundary_matrices(sub)
-    cc_total = boundary_matrices(total)
-    cc_quot = boundary_matrices(quot)
+    proj_chain = chain_map_matrices(presentation.projection_map())
+    for k, d in cc_total.boundaries.items():
+        if proj_chain[k - 1] @ d != cc_quot.boundary(k) @ proj_chain[k]:
+            raise InternalCheckError(
+                f"quotient projection does not commute with the degree-{k} boundary"
+            )
 
     top = max(cc_sub.top_degree, cc_total.top_degree, cc_quot.top_degree)
 
@@ -207,7 +212,6 @@ def les_dimension_check(inclusion, quotient_presentation) -> "SequenceReport":
     h_total = homology(cc_total)
 
     incl_chain = chain_map_matrices(inclusion)
-    proj_chain = chain_map_matrices(quotient_presentation.projection_map())
 
     def induced_rank(reps, chain_mat, target_cc):
         if not reps:

@@ -142,15 +142,6 @@ class SparseMatrix:
                 out[i] += v * vec[j]
         return out
 
-    def apply_transpose(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        if len(vec) != self.rows:
-            raise ValueError(f"vector length {len(vec)} != rows {self.rows}")
-        out = [QZERO] * self.cols
-        for (i, j), v in self.entries.items():
-            if vec[i]:
-                out[j] += v * vec[i]
-        return out
-
     def is_zero(self):
         return not self.entries
 

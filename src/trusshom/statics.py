@@ -21,8 +21,7 @@ from .cosheaves import (
     Subcomplex,
     boundary_matrices,
     force_cosheaf,
-    quotient_cosheaf,
-    restrict_to_subcomplex,
+    quotient_by_subcomplex,
 )
 from .errors import InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers, homology
@@ -263,14 +262,12 @@ def decompose_boundary(
     if not empty:
         _check_single_cycle(x, y)
 
-    f = force_cosheaf(x, t.embedding)
-    fy, incl = restrict_to_subcomplex(f, y)
-    b_loop = betti_numbers(boundary_matrices(fy))
+    qp = quotient_by_subcomplex(force_cosheaf(x, t.embedding), y)
+    b_loop = betti_numbers(boundary_matrices(qp.inclusion.source))
     if len(b_loop) > 1 and b_loop[1] != 0:
         raise PreconditionError(
             "boundary loop carries a self-stress; choose a loop in general position"
         )
-    qp = quotient_cosheaf(incl)
     connectors = tuple(
         sorted(
             e

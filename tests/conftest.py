@@ -23,7 +23,15 @@ from trusshom.complexes import (
     planar_faces,
     segments_conflict,
 )
-from trusshom.errors import PreconditionError
+from trusshom.cosheaves import (
+    Cosheaf,
+    CosheafMap,
+    QuotientPresentation,
+    check_cosheaf_map,
+    incidence_pairs,
+)
+from trusshom.errors import InternalCheckError, PreconditionError
+from trusshom.sparse import SparseMatrix, kernel_basis, rank, solve_particular
 from trusshom.statics import Truss
 
 Q = Fraction
@@ -40,6 +48,24 @@ def run_cli(*args, timeout=None):
         [sys.executable, "-m", "trusshom", *args],
         capture_output=True, text=True, cwd=str(REPO), env=env, timeout=timeout,
     )
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of function ``name`` of the module named ``module``:
+    the function is wrapped and every trusshom module attribute that
+    aliases it is rebound to the wrapper.  Returns a one-item list
+    holding the running count."""
+    orig = getattr(sys.modules[module], name)
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return orig(*args, **kwargs)
+
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "trusshom" and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, counted)
+    return calls
 
 
 # ---------------------------------------------------------------------------
@@ -105,6 +131,80 @@ def all_pairs_noncrossing(x: CellComplex, emb: Embedding) -> None:
             c, d = (emb.p(v) for v in x.edges[j])
             if segments_conflict(a, b, c, d):
                 raise PreconditionError(f"edges {i} and {j} cross or overlap")
+
+
+# ---------------------------------------------------------------------------
+# general quotient oracle (orthogonal complements, Gram solves)
+# ---------------------------------------------------------------------------
+
+
+def _orthogonal_presentation(phi: SparseMatrix):
+    """(projection, section) for the quotient of the target of ``phi`` by
+    its image: the section's columns span ker(phi^T), the orthogonal
+    complement; the projection solves the Gram system, so projection .
+    section = identity and projection . phi = 0 exactly."""
+    complement = kernel_basis(phi.transpose())
+    w = SparseMatrix.from_columns(complement, phi.rows)
+    gram = w.transpose() @ w
+    proj_rows = []
+    wt = w.transpose()
+    for col in range(phi.rows):
+        rhs = [wt.get(i, col) for i in range(wt.rows)]
+        sol = solve_particular(gram, rhs)
+        if sol is None:
+            raise InternalCheckError("Gram system unsolvable for quotient projection")
+        proj_rows.append(sol)
+    entries = {
+        (i, j): proj_rows[j][i]
+        for j in range(phi.rows)
+        for i in range(w.cols)
+        if proj_rows[j][i]
+    }
+    projection = SparseMatrix(w.cols, phi.rows, entries)
+    return projection, w
+
+
+def quotient_cosheaf(incl: CosheafMap) -> QuotientPresentation:
+    """Quotient of the target cosheaf by any stalkwise-injective inclusion.
+
+    Checks injectivity of every stalk component and the commuting
+    squares, then builds quotient stalks of dimension dim G - dim F with
+    induced maps (verified to kill the included image).  The package
+    quotients only by subcomplexes; this general construction is the
+    second route the tests compare it against."""
+    bad = check_cosheaf_map(incl)
+    if bad:
+        raise PreconditionError(
+            f"inclusion is not a cosheaf map; {len(bad)} commuting squares fail"
+        )
+    f, g = incl.source, incl.target
+    projections = {}
+    sections = {}
+    qdims = {}
+    for c in g.base.cells():
+        phi = incl.component(c)
+        if rank(phi) != phi.cols:
+            raise PreconditionError(f"inclusion is not injective at {c}")
+        proj, sect = _orthogonal_presentation(phi)
+        if not (proj @ phi).is_zero():
+            raise InternalCheckError(f"projection does not kill the image at {c}")
+        if proj @ sect != SparseMatrix.identity(proj.rows):
+            raise InternalCheckError(f"projection . section != identity at {c}")
+        projections[c] = proj
+        sections[c] = sect
+        qdims[c] = g.stalk_dims[c] - f.stalk_dims[c]
+    qmaps = {}
+    for hi, lo, _ in incidence_pairs(g.base):
+        induced = projections[lo] @ g.maps[(hi, lo)] @ sections[hi]
+        killed = projections[lo] @ g.maps[(hi, lo)] @ incl.component(hi)
+        if not killed.is_zero():
+            raise InternalCheckError(f"induced map at {hi} > {lo} is not well-defined")
+        qmaps[(hi, lo)] = induced
+    quotient = Cosheaf(g.base, qdims, qmaps)
+    qp = QuotientPresentation(incl, quotient, projections, sections)
+    if check_cosheaf_map(qp.projection_map()):
+        raise InternalCheckError("quotient projection is not a cosheaf map")
+    return qp
 
 
 # ---------------------------------------------------------------------------

@@ -11,17 +11,19 @@ from trusshom.cosheaves import (
     constant_cosheaf,
     force_cosheaf,
     identity_map,
-    quotient_cosheaf,
+    quotient_by_subcomplex,
     restrict_to_subcomplex,
     spline_cosheaf,
 )
+from trusshom.documents import document_to_form_diagram, parse_truss_document
+from trusshom.duality import FormDiagram, position_cosheaf
 from trusshom.errors import PreconditionError
 from trusshom.homology import betti_numbers
 from trusshom.samples import loaded_triangle, square4, tri3, wheel5
 from trusshom.sparse import SparseMatrix, rank
 from trusshom.statics import Truss
 
-from conftest import dense_rank, matrix_rows
+from conftest import REPO, dense_rank, matrix_rows, quotient_cosheaf, random_form_truss
 
 Q = Fraction
 
@@ -187,18 +189,88 @@ def test_quotient_by_zero_is_isomorphic():
     f = force_cosheaf(t.complex, t.embedding)
     empty = Subcomplex.of(t.complex)
     fz, incl = restrict_to_subcomplex(f, empty)
-    qp = quotient_cosheaf(incl)
-    assert qp.quotient.stalk_dims == f.stalk_dims
-    assert betti_numbers(boundary_matrices(qp.quotient)) == betti_numbers(
-        boundary_matrices(f)
-    )
+    for qp in (quotient_cosheaf(incl), quotient_by_subcomplex(f, empty)):
+        assert qp.quotient.stalk_dims == f.stalk_dims
+        assert betti_numbers(boundary_matrices(qp.quotient)) == betti_numbers(
+            boundary_matrices(f)
+        )
 
 
 def test_quotient_by_identity_is_zero():
     t = tri3()
     f = force_cosheaf(t.complex, t.embedding)
-    qp = quotient_cosheaf(identity_map(f))
-    assert all(d == 0 for d in qp.quotient.stalk_dims.values())
+    whole = _whole(t.complex)
+    for qp in (quotient_cosheaf(identity_map(f)), quotient_by_subcomplex(f, whole)):
+        assert all(d == 0 for d in qp.quotient.stalk_dims.values())
+
+
+def _whole(x):
+    return Subcomplex.of(x, range(x.nverts), range(x.nedges), range(x.nfaces))
+
+
+def _random_subcomplex(rng, x):
+    """A random downward-closed selection: vertices, then edges on them,
+    then faces whose boundary edges were all kept."""
+    verts = {v for v in range(x.nverts) if rng.random() < 0.7}
+    edges = {
+        e for e, (t, h) in enumerate(x.edges)
+        if t in verts and h in verts and rng.random() < 0.7
+    }
+    faces = {
+        f for f, cyc in enumerate(x.faces)
+        if all(e in edges for e, _ in cyc) and rng.random() < 0.7
+    }
+    return Subcomplex.of(x, verts, edges, faces)
+
+
+def _assert_matches_oracle(f, y):
+    qp = quotient_by_subcomplex(f, y)
+    oracle = quotient_cosheaf(restrict_to_subcomplex(f, y)[1])
+    assert qp.inclusion.components == oracle.inclusion.components
+    assert qp.quotient.stalk_dims == oracle.quotient.stalk_dims
+    assert qp.quotient.maps == oracle.quotient.maps
+    assert qp.projections == oracle.projections
+    assert qp.sections == oracle.sections
+
+
+def test_quotient_by_subcomplex_matches_general_quotient(rng):
+    def cosheaves(fd):
+        x = fd.complex
+        return (
+            force_cosheaf(x, fd.embedding),
+            constant_cosheaf(x, 2),
+            position_cosheaf(fd).cosheaf,
+        )
+
+    loops = 0
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        doc = parse_truss_document(path.read_text())
+        if doc.boundary is None:
+            continue
+        fd, loaded = document_to_form_diagram(doc)
+        y = loaded.boundary_decomposition().loop
+        assert y.faces  # the loop bounds the exterior face
+        for f in cosheaves(fd):
+            _assert_matches_oracle(f, y)
+        loops += 1
+    t, lv, le = loaded_triangle(with_faces=True)
+    fd = FormDiagram(t)
+    y = Subcomplex.of(t.complex, lv, le, {t.complex.exterior_face})
+    for f in cosheaves(fd):
+        _assert_matches_oracle(f, y)
+    assert loops >= 1
+
+    shapes = set()
+    for _ in range(20):
+        fd = FormDiagram(random_form_truss(rng))
+        x = fd.complex
+        drawn = [_random_subcomplex(rng, x) for _ in range(3)]
+        shapes |= {(bool(y.vertices), bool(y.edges), bool(y.faces)) for y in drawn}
+        for y in [Subcomplex.of(x), _whole(x)] + drawn:
+            for f in cosheaves(fd):
+                _assert_matches_oracle(f, y)
+    # the random draws reach vertices only, edges, and proper faced subcomplexes
+    assert {(True, False, False), (True, True, False), (True, True, True)} <= shapes
 
 
 def test_quotient_force_in_constant_gives_position_stalks():

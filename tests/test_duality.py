@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import pytest
 
+from trusshom.cli import main
 from trusshom.complexes import CellComplex, Embedding, build_complex
-from trusshom.cosheaves import Subcomplex, quotient_cosheaf, restrict_to_subcomplex
+from trusshom.cosheaves import Subcomplex, quotient_by_subcomplex
 from trusshom.documents import LoadedTruss, force_diagram_document
 from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.homology import betti_numbers
@@ -25,7 +26,7 @@ from trusshom.duality import (
     stress_from_force_diagram,
 )
 
-from conftest import random_form_truss
+from conftest import REPO, count_calls, random_form_truss
 
 Q = Fraction
 
@@ -369,6 +370,15 @@ def test_relative_diagram_zero_stress_collapses():
     assert all(p == (Q(0), Q(0)) for p in rel.positions.values())
 
 
+def test_relative_computes_the_equilibrium_homology_once(monkeypatch, capsys):
+    # the command selects the stress from its own basis and passes it on,
+    # so the diagram does not recompute the basis
+    calls = count_calls(monkeypatch, "trusshom.homology", "homology")
+    assert main(["relative", str(REPO / "fixtures" / "loaded1.json")]) == 0
+    assert calls[0] == 1
+    capsys.readouterr()
+
+
 def test_relative_diagram_rejects_disconnected_interior():
     # picture frame: inner square entirely inside the outer loop; taking
     # BOTH loops as the boundary leaves the inner face isolated, which is
@@ -392,8 +402,7 @@ def test_relative_diagram_rejects_disconnected_interior():
         x, range(8), range(8), {x.exterior_face}
     )
     f = force_cosheaf(x, emb)
-    _, incl = restrict_to_subcomplex(f, both_loops)
-    qp = quotient_cosheaf(incl)
+    qp = quotient_by_subcomplex(f, both_loops)
     dec = BoundaryDecomposition(t, both_loops, tuple(range(8, 12)), qp)
     with pytest.raises(PreconditionError, match="open disk"):
         relative_force_diagram(dec)

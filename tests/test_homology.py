@@ -9,9 +9,9 @@ from trusshom.cosheaves import (
     boundary_matrices,
     constant_cosheaf,
     force_cosheaf,
+    QuotientPresentation,
     incidence_pairs,
-    quotient_cosheaf,
-    restrict_to_subcomplex,
+    quotient_by_subcomplex,
 )
 from trusshom.errors import InternalCheckError
 from trusshom.homology import (
@@ -137,9 +137,7 @@ def test_euler_identity_on_random_cosheaves(rng):
 def test_les_with_zero_subcosheaf_degenerates():
     t = wheel5()
     f = force_cosheaf(t.complex, t.embedding)
-    _, incl = restrict_to_subcomplex(f, Subcomplex.of(t.complex))
-    qp = quotient_cosheaf(incl)
-    rep = les_dimension_check(incl, qp)
+    rep = les_dimension_check(quotient_by_subcomplex(f, Subcomplex.of(t.complex)))
     assert rep.exactness_consistent
     assert rep.dims_sub == (0, 0)
     assert rep.dims_quotient == rep.dims_total  # H_k(B) isomorphic H_k(B/A)
@@ -148,13 +146,29 @@ def test_les_with_zero_subcosheaf_degenerates():
 def test_les_loaded_triangle_alternating_sum_and_injectivity():
     (t, lv, le) = loaded_triangle(with_faces=False)
     f = force_cosheaf(t.complex, t.embedding)
-    y = Subcomplex.of(t.complex, lv, le)
-    _, incl = restrict_to_subcomplex(f, y)
-    qp = quotient_cosheaf(incl)
-    rep = les_dimension_check(incl, qp)
+    rep = les_dimension_check(quotient_by_subcomplex(f, Subcomplex.of(t.complex, lv, le)))
     assert rep.alternating_sum == 0
     # self-stresses of the whole structure embed into the equilibrium states
     assert rep.h1_projection_injective
+
+
+def test_les_rejects_a_projection_that_is_not_a_chain_map():
+    # doubling one quotient map off the loop keeps d∘d = 0 but breaks
+    # P_0 d_1 == d_1^Q P_1 at that incidence
+    (t, lv, le) = loaded_triangle(with_faces=False)
+    f = force_cosheaf(t.complex, t.embedding)
+    y = Subcomplex.of(t.complex, lv, le)
+    qp = quotient_by_subcomplex(f, y)
+    assert les_dimension_check(qp).exactness_consistent
+    q = qp.quotient
+    key, m = next((k, m) for k, m in q.maps.items() if not m.is_zero())
+    maps = dict(q.maps)
+    maps[key] = SparseMatrix(m.rows, m.cols, {ij: 2 * v for ij, v in m.entries.items()})
+    broken = QuotientPresentation(
+        qp.inclusion, Cosheaf(q.base, q.stalk_dims, maps), qp.projections, qp.sections
+    )
+    with pytest.raises(InternalCheckError, match="does not commute with the degree-1"):
+        les_dimension_check(broken)
 
 
 def test_les_wheel5_position_triple_satisfies_both_splits():
@@ -163,7 +177,7 @@ def test_les_wheel5_position_triple_satisfies_both_splits():
     from trusshom.duality import FormDiagram, position_cosheaf
 
     pc = position_cosheaf(FormDiagram(Truss(x, emb)))
-    rep = les_dimension_check(pc.presentation.inclusion, pc.presentation)
+    rep = les_dimension_check(pc.presentation)
     assert rep.alternating_sum == 0
     d_f, d_r2, d_g = rep.dims_sub, rep.dims_total, rep.dims_quotient
     assert d_g[2] == d_f[1] + d_r2[2]          # dual realizations split

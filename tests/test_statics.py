@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 from trusshom.complexes import Embedding, build_complex
-from trusshom.cosheaves import Subcomplex, boundary_matrices, force_cosheaf, restrict_to_subcomplex, quotient_cosheaf
+from trusshom.cosheaves import Subcomplex, boundary_matrices, force_cosheaf, quotient_by_subcomplex
+from trusshom.documents import document_to_form_diagram, document_to_truss, parse_truss_document
 from trusshom.errors import PreconditionError
 from trusshom.homology import betti_numbers, les_dimension_check
 from trusshom.samples import (
@@ -24,7 +25,7 @@ from trusshom.statics import (
     rigid_motion_basis,
 )
 
-from conftest import dense_nullity, matrix_rows, random_truss
+from conftest import REPO, count_calls, dense_nullity, matrix_rows, random_truss
 
 Q = Fraction
 
@@ -194,10 +195,7 @@ def make_loaded_wheel():
 def test_loaded_wheel_h1_injectivity_with_nonzero_selfstress():
     t, lv, le = make_loaded_wheel()
     f = force_cosheaf(t.complex, t.embedding)
-    y = Subcomplex.of(t.complex, lv, le)
-    _, incl = restrict_to_subcomplex(f, y)
-    qp = quotient_cosheaf(incl)
-    rep = les_dimension_check(incl, qp)
+    rep = les_dimension_check(quotient_by_subcomplex(f, Subcomplex.of(t.complex, lv, le)))
     assert rep.alternating_sum == 0
     assert rep.dims_total[1] >= 1  # the wheel's self-stress survives in X
     assert rep.h1_projection_injective
@@ -208,10 +206,21 @@ def test_restriction_plus_quotient_dimensions_add():
     (t, lv, le) = loaded_triangle(with_faces=False)
     f = force_cosheaf(t.complex, t.embedding)
     y = Subcomplex.of(t.complex, lv, le)
-    fy, incl = restrict_to_subcomplex(f, y)
-    qp = quotient_cosheaf(incl)
+    qp = quotient_by_subcomplex(f, y)
     cf = boundary_matrices(f)
-    cy = boundary_matrices(fy)
+    cy = boundary_matrices(qp.inclusion.source)
     cq = boundary_matrices(qp.quotient)
     for k in (0, 1):
         assert cy.dims[k] + cq.dims[k] == cf.dims[k]
+
+
+def test_decompose_boundary_eliminates_only_the_loop_betti_numbers(monkeypatch):
+    # the quotient by the loop is built without elimination; what remains
+    # is one rank per degree of the loop's own complex (3 as a graph, 4
+    # with its traced faces)
+    doc = parse_truss_document((REPO / "fixtures" / "loaded1.json").read_text())
+    for loaded in (document_to_truss(doc), document_to_form_diagram(doc)[1]):
+        calls = count_calls(monkeypatch, "trusshom.sparse", "_eliminate")
+        loaded.boundary_decomposition()
+        assert calls[0] <= 4
+        monkeypatch.undo()
