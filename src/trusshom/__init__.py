@@ -50,7 +50,6 @@ from .homology import (
     betti_numbers,
     check_euler_identity,
     euler_characteristic,
-    homology,
     les_dimension_check,
 )
 from .sparse import (

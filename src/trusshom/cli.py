@@ -16,7 +16,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .cosheaves import boundary_matrices, spline_cosheaf
+from .cosheaves import spline_cosheaf
 from .documents import (
     LoadedTruss,
     document_to_form_diagram,
@@ -28,18 +28,14 @@ from .documents import (
 )
 from .duality import (
     force_diagram_from_stress,
+    form_diagram,
     impossible_rotation_basis,
     position_cosheaf,
     relative_force_diagram,
     stress_from_force_diagram,
 )
 from .errors import InputError, InternalCheckError, PreconditionError, TrussHomError
-from .homology import (
-    betti_numbers,
-    check_euler_identity,
-    homology,
-    les_dimension_check,
-)
+from .homology import betti_numbers, check_euler_identity, les_dimension_check
 from .statics import (
     analyze,
     equilibrium_stresses,
@@ -125,26 +121,25 @@ def cmd_maxwell(args) -> dict:
 
 def cmd_selfstress(args) -> dict:
     loaded = _load(args.file, dim=args.dim)
-    rep = analyze(loaded.truss)
+    basis = force_chain_complex(loaded.truss).representatives(1)
     return {
         "command": "selfstress",
-        "dimension": rep.betti1,
-        "basis": [_stress_dict(loaded, v) for v in rep.self_stress_basis],
+        "dimension": len(basis),
+        "basis": [_stress_dict(loaded, v) for v in basis],
     }
 
 
 def cmd_dual(args) -> dict:
     fd, loaded = document_to_form_diagram(_load_document(args.file))
-    rep = analyze(loaded.truss)
+    basis = force_chain_complex(fd.truss).representatives(1)
     if args.stress is None:
-        stress = rep.self_stress_basis[0] if rep.self_stress_basis else [Q(0)] * fd.complex.nedges
+        stress = basis[0] if basis else [Q(0)] * fd.complex.nedges
     else:
-        if not 0 <= args.stress < len(rep.self_stress_basis):
+        if not 0 <= args.stress < len(basis):
             raise InputError(
-                f"--stress {args.stress}: structure has "
-                f"{len(rep.self_stress_basis)} self-stresses"
+                f"--stress {args.stress}: structure has {len(basis)} self-stresses"
             )
-        stress = rep.self_stress_basis[args.stress]
+        stress = basis[args.stress]
     diag = force_diagram_from_stress(fd, stress)
     if args.svg:
         Path(args.svg).write_text(render_svg(diag, stress))
@@ -187,11 +182,10 @@ def cmd_spline(args) -> dict:
     x = loaded.truss.complex
     if x.faces:
         raise PreconditionError("spline analysis runs on graphs, not 2-complexes")
-    k = spline_cosheaf(x, args.degree, args.smoothness)
-    cc = boundary_matrices(k)
-    h = homology(cc)
+    cc = spline_cosheaf(x, args.degree, args.smoothness).chain_complex
     m = args.degree
-    reps = h.degrees[1].representatives if 1 in h.degrees else []
+    reps = cc.representatives(1)
+    b = betti_numbers(cc)
     decoded = []
     for v in reps:
         by_edge = {}
@@ -204,8 +198,8 @@ def cmd_spline(args) -> dict:
         "degree": m,
         "smoothness": args.smoothness,
         "chain_dims": {str(k2): d for k2, d in sorted(cc.dims.items())},
-        "betti": {"b0": h.betti(0), "b1": h.betti(1)},
-        "spline_space_dimension": h.betti(1),
+        "betti": {"b0": b[0], "b1": len(reps)},
+        "spline_space_dimension": len(reps),
         "basis_coefficients": decoded,
     }
 
@@ -225,29 +219,29 @@ def cmd_check(args) -> dict:
         "euler_identity", True,
         f"chains {euler.chain_euler} == homology {euler.homology_euler}",
     )
-    b = betti_numbers(cc)
     mr = maxwell_report(t)
     record("maxwell_identity", True, mr.identity_line)
 
     if t.dim == 2:
         try:
-            fd, loaded2 = document_to_form_diagram(loaded.document)
+            fd = form_diagram(t)
             pc = position_cosheaf(fd)
-            from .sparse import rank as _rank
-
-            h2g = pc.chain.dims[2] - _rank(pc.boundary2())
-            rb = impossible_rotation_basis(pc)
-            fb = betti_numbers(pc.force_chain)
+            # H1 of the position complex is the impossible rotations and
+            # its degree-2 homology the dual realizations; the force
+            # side's Betti numbers do not depend on the traced faces
+            rotations = len(pc.chain.representatives(1))
+            h2g = pc.chain.dims[2] - pc.chain.rank(2)
+            fb = betti_numbers(cc)
             record("dual_realizations_identity", h2g == fb[1] + 2, f"{h2g} == {fb[1]} + 2")
-            record("impossible_rotations_identity", rb.dim == fb[0] - 2, f"{rb.dim} == {fb[0]} - 2")
-            if h2g != fb[1] + 2 or rb.dim != fb[0] - 2:
+            record("impossible_rotations_identity", rotations == fb[0] - 2, f"{rotations} == {fb[0]} - 2")
+            if h2g != fb[1] + 2 or rotations != fb[0] - 2:
                 raise InternalCheckError("planar duality dimension identity failed")
-            rep = analyze(fd.truss)
-            for i, s in enumerate(rep.self_stress_basis):
+            stresses = cc.representatives(1)
+            for i, s in enumerate(stresses):
                 diag = force_diagram_from_stress(fd, s)
                 if stress_from_force_diagram(fd, diag.positions) != list(s):
                     raise InternalCheckError(f"stress roundtrip failed at basis {i}")
-            record("stress_diagram_roundtrip", True, f"{len(rep.self_stress_basis)} vectors")
+            record("stress_diagram_roundtrip", True, f"{len(stresses)} vectors")
         except PreconditionError as exc:
             record("planar_duality", True, f"skipped: {exc}")
 

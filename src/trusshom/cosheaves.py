@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import prod
 
 from .complexes import CellComplex, CellId, Embedding, ecell, edge_vector, fcell, validate_embedding, vcell
@@ -64,6 +65,12 @@ class Cosheaf:
 
     def stalk(self, cell: CellId) -> int:
         return self.stalk_dims[cell]
+
+    @cached_property
+    def chain_complex(self) -> ChainComplex:
+        """The assembled boundary matrices, built on first use and kept
+        together with the eliminations the complex caches."""
+        return boundary_matrices(self)
 
     def chain_dim(self, k: int) -> int:
         return sum(self.stalk_dims[c] for c in self.base.cells_of_dim(k))

@@ -30,22 +30,13 @@ from .cosheaves import (
     CosheafMap,
     QuotientPresentation,
     Subcomplex,
-    boundary_matrices,
     check_cosheaf_map,
     constant_cosheaf,
-    force_cosheaf,
     quotient_by_subcomplex,
 )
 from .errors import InputError, InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers
-from .sparse import (
-    SparseMatrix,
-    cokernel_reps,
-    image_basis,
-    rank,
-    row_space_reducer,
-    solve_particular,
-)
+from .sparse import SparseMatrix, row_space_reducer, solve_particular
 from .statics import BoundaryDecomposition, Truss, equilibrium_stresses
 
 Q = Fraction
@@ -126,12 +117,18 @@ class PositionCosheaf:
     diagram: FormDiagram
     presentation: QuotientPresentation
     perp: tuple[Point, ...]
-    chain: ChainComplex
-    force_chain: ChainComplex
 
     @property
     def cosheaf(self) -> Cosheaf:
         return self.presentation.quotient
+
+    @property
+    def chain(self) -> ChainComplex:
+        return self.cosheaf.chain_complex
+
+    @property
+    def force_chain(self) -> ChainComplex:
+        return self.presentation.inclusion.source.chain_complex
 
     def boundary2(self) -> SparseMatrix:
         return self.chain.boundary(2)
@@ -139,7 +136,7 @@ class PositionCosheaf:
 
 def position_cosheaf(fd: FormDiagram) -> PositionCosheaf:
     x = fd.complex
-    f = force_cosheaf(x, fd.embedding)
+    f = fd.truss.cosheaf
     r2 = constant_cosheaf(x, 2)
 
     components = {}
@@ -195,13 +192,7 @@ def position_cosheaf(fd: FormDiagram) -> PositionCosheaf:
     if check_cosheaf_map(qp.projection_map()):
         raise InternalCheckError("position-cosheaf projection squares fail")
 
-    return PositionCosheaf(
-        diagram=fd,
-        presentation=qp,
-        perp=perp,
-        chain=boundary_matrices(quotient),
-        force_chain=boundary_matrices(f),
-    )
+    return PositionCosheaf(diagram=fd, presentation=qp, perp=perp)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +325,7 @@ class RotationBasis:
 
 
 def impossible_rotation_basis(pc: PositionCosheaf) -> RotationBasis:
-    d2 = pc.boundary2()
-    reps = cokernel_reps(d2)
+    reps = pc.chain.representatives(1)
     b0_force = betti_numbers(pc.force_chain)[0]
     if len(reps) != b0_force - 2:
         raise InternalCheckError(
@@ -384,7 +374,7 @@ def motion_to_rotation_class(pc: PositionCosheaf, u) -> MotionRotationClass:
         flat[2 * v] -= mean[0]
         flat[2 * v + 1] -= mean[1]
 
-    r2_chain = boundary_matrices(constant_cosheaf(x, 2))
+    r2_chain = pc.presentation.inclusion.target.chain_complex
     w = solve_particular(r2_chain.boundary(1), flat)
     if w is None:
         raise InternalCheckError("mean-free vertex field failed to lift")
@@ -392,7 +382,7 @@ def motion_to_rotation_class(pc: PositionCosheaf, u) -> MotionRotationClass:
     for e in range(x.nedges):
         n = pc.perp[e]
         chain.append(n[0] * w[2 * e] + n[1] * w[2 * e + 1])
-    reduce = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
+    reduce = row_space_reducer(pc.chain.image(2), x.nedges)
     return MotionRotationClass(chain, reduce(chain))
 
 
@@ -407,7 +397,7 @@ def check_form_finding_safety(pc: PositionCosheaf, zeta) -> bool:
     if len(flat) != pc.chain.dims[2]:
         raise InputError("dual repositioning has the wrong length")
     rho = pc.boundary2().apply(flat)
-    reduce = row_space_reducer(image_basis(pc.boundary2()), x.nedges)
+    reduce = row_space_reducer(pc.chain.image(2), x.nedges)
     if any(reduce(rho)):
         raise InternalCheckError("dual repositioning produced an unrealizable rotation")
     return True
@@ -505,7 +495,7 @@ def relative_force_diagram(
         s = [Q(v) for v in stress]
         if any(s[e] for e in dec.loop.edges):
             raise InputError("equilibrium stress must vanish on the loop edges")
-    rel_chain = boundary_matrices(dec.relative_cosheaf)
+    rel_chain = dec.relative_cosheaf.chain_complex
     rel_coords = [s[cell.index] for cell, _ in rel_chain.labels[1]]
     if any(rel_chain.boundary(1).apply(rel_coords)):
         raise PreconditionError("stress is not an equilibrium stress of the region")
@@ -521,8 +511,8 @@ def relative_force_diagram(
         x, dec.loop.vertices, dec.loop.edges, {x.exterior_face}
     )
     rel_pos = quotient_by_subcomplex(pc.cosheaf, g_loop).quotient
-    rel_pos_chain = boundary_matrices(rel_pos)
-    h2 = rel_pos_chain.dims[2] - rank(rel_pos_chain.boundary(2))
+    rel_pos_chain = rel_pos.chain_complex
+    h2 = rel_pos_chain.dims[2] - rel_pos_chain.rank(2)
     eq_dim = betti_numbers(rel_chain)[1]
     if h2 != eq_dim + 2:
         raise InternalCheckError(

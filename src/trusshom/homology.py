@@ -3,8 +3,12 @@
 A ChainComplex here is the assembled form of a cosheaf (or of a bare cell
 complex via the unit constant cosheaf): exact sparse boundary matrices
 indexed by (cell, stalk coordinate) labels.  Homology is kernels mod
-images; every dimension is exact and every representative is canonical,
-so printed bases are stable across runs.
+images, computed the standard way (Edelsbrunner-Harer, *Computational
+Topology*, ch. IV): each boundary is eliminated once, its kernel and
+image bases are kept, and a degree's representatives are the kernel
+rows reduced against the image rows.  Every dimension is exact and
+every basis is in reduced row-echelon form, so printed bases are stable
+across runs.
 """
 
 from __future__ import annotations
@@ -15,24 +19,29 @@ from fractions import Fraction
 from .errors import InputError, InternalCheckError
 from .sparse import (
     SparseMatrix,
+    cokernel_reps,
     image_basis,
     kernel_basis,
     rank,
     rank_modulo,
-    row_space_reducer,
 )
-
-Q = Fraction
 
 
 @dataclass(frozen=True)
 class ChainComplex:
     """dims[k] = dim C_k; boundaries[k]: C_k -> C_{k-1} for k >= 1;
-    labels[k] tags each coordinate of C_k with its (cell, stalk index)."""
+    labels[k] tags each coordinate of C_k with its (cell, stalk index).
+
+    Each basis of a boundary (kernel, image, cokernel representatives)
+    and each degree's homology representatives are computed once, on
+    first use, and kept; ``rank`` reads the pivot count of whichever
+    elimination of the boundary is kept.  The returned bases are the
+    kept lists; callers must not modify them."""
 
     dims: dict[int, int]
     boundaries: dict[int, SparseMatrix]
     labels: dict[int, tuple] = field(default_factory=dict)
+    _factors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for k, m in self.boundaries.items():
@@ -58,11 +67,86 @@ class ChainComplex:
             return self.boundaries[k]
         return SparseMatrix(self.dims.get(k - 1, 0), self.dims.get(k, 0))
 
+    def _is_zero(self, k: int) -> bool:
+        return k not in self.boundaries or self.boundaries[k].is_zero()
+
+    def _kept(self, kind: str, k: int, compute):
+        key = (kind, k)
+        if key not in self._factors:
+            self._factors[key] = compute(self.boundary(k))
+        return self._factors[key]
+
+    def rank(self, k: int) -> int:
+        """rank d_k: the pivot count of whichever elimination of d_k is
+        kept, or else of a forward-only elimination."""
+        if self._is_zero(k):
+            return 0
+        kept = self._factors
+        if ("kernel", k) in kept:
+            return self.dims[k] - len(kept[("kernel", k)])
+        if ("image", k) in kept:
+            return len(kept[("image", k)])
+        if ("cokernel", k) in kept:
+            return self.dims[k - 1] - len(kept[("cokernel", k)])
+        return self._kept("rank", k, rank)
+
+    def kernel(self, k: int) -> list[list[Fraction]]:
+        """Reduced row-echelon basis of ker d_k."""
+        return self._kept("kernel", k, kernel_basis)
+
+    def image(self, k: int) -> list[list[Fraction]]:
+        """Reduced row-echelon basis of im d_k, as vectors of C_{k-1}."""
+        if self._is_zero(k):
+            return []
+        return self._kept("image", k, image_basis)
+
+    def representatives(self, k: int) -> list[list[Fraction]]:
+        """Reduced row-echelon basis of a complement of im d_{k+1} in
+        ker d_k: one representative per homology class of a basis.
+
+        Where d_k = 0 the kernel is all of C_k, and the representatives
+        are the unit vectors at the coordinates that are not pivots of
+        the image, which ``cokernel_reps`` reads off the elimination of
+        d_{k+1} without writing the image out.  Where d_{k+1} = 0 they
+        are the kernel basis itself.  Otherwise each kernel row is reduced against the image rows,
+        which clears it at every image pivot, and the residues are
+        echelonised once."""
+        key = ("representatives", k)
+        if key not in self._factors:
+            n = self.dims.get(k, 0)
+            if self._is_zero(k):
+                reps = self._kept("cokernel", k + 1, cokernel_reps)
+            elif self._is_zero(k + 1):
+                reps = self.kernel(k)
+            else:
+                image = [
+                    [(j, v) for j, v in enumerate(row) if v] for row in self.image(k + 1)
+                ]
+                residues = {}
+                count = 0
+                for vec in self.kernel(k):
+                    out = list(vec)
+                    for row in image:
+                        f = out[row[0][0]]
+                        if f:
+                            for j, v in row:
+                                out[j] -= f * v
+                    if any(out):
+                        residues.update(((j, count), v) for j, v in enumerate(out) if v)
+                        count += 1
+                reps = image_basis(SparseMatrix(n, count, residues))
+            betti = n - self.rank(k) - self.rank(k + 1)
+            if len(reps) != betti:
+                raise InternalCheckError(
+                    f"degree {k}: {len(reps)} representatives for Betti number {betti}"
+                )
+            self._factors[key] = reps
+        return self._factors[key]
+
 
 @dataclass(frozen=True)
 class DegreeHomology:
     betti: int
-    kernel: list[list[Fraction]]
     image: list[list[Fraction]]
     representatives: list[list[Fraction]]
 
@@ -82,38 +166,18 @@ class HomologySummary:
 
 def betti_numbers(c: ChainComplex) -> tuple[int, ...]:
     """Betti numbers only, from the ranks of the boundary maps."""
-    ranks = {k: rank(c.boundary(k)) for k in range(c.top_degree + 2)}
     return tuple(
-        c.dims.get(k, 0) - ranks[k] - ranks[k + 1] for k in range(c.top_degree + 1)
+        c.dims.get(k, 0) - c.rank(k) - c.rank(k + 1) for k in range(c.top_degree + 1)
     )
 
 
 def homology(c: ChainComplex) -> HomologySummary:
-    """Full homology: Betti numbers plus canonical bases in each degree.
-
-    Representatives are kernel vectors reduced against the echelonized
-    image of the next boundary, then re-echelonized; they lie exactly in
-    the kernel and are independent modulo the image.
-    """
+    """Full homology: Betti numbers plus canonical bases in each degree,
+    read from the complex's kept eliminations."""
     degrees = {}
     for k in range(c.top_degree + 1):
-        dk = c.boundary(k)
-        dk1 = c.boundary(k + 1)
-        kern = kernel_basis(dk)
-        img = image_basis(dk1)
-        b = len(kern) - len(img)
-        reduce = row_space_reducer(img, c.dims.get(k, 0))
-        residues = [r for v in kern if any(r := reduce(v))]
-        reps = (
-            image_basis(SparseMatrix.from_columns(residues, c.dims.get(k, 0)))
-            if residues
-            else []
-        )
-        if len(reps) != b:
-            raise InternalCheckError(
-                f"degree {k}: {len(reps)} representatives for Betti number {b}"
-            )
-        degrees[k] = DegreeHomology(b, kern, img, reps)
+        reps = c.representatives(k)
+        degrees[k] = DegreeHomology(len(reps), c.image(k + 1), reps)
     return HomologySummary(degrees)
 
 
@@ -174,12 +238,12 @@ def les_dimension_check(presentation) -> "SequenceReport":
     pushing representatives through the stalkwise chain maps and
     measuring rank modulo the target's boundaries.
     """
-    from .cosheaves import boundary_matrices, chain_map_matrices  # import cycle
+    from .cosheaves import chain_map_matrices  # import cycle
 
     inclusion = presentation.inclusion
-    cc_sub = boundary_matrices(inclusion.source)
-    cc_total = boundary_matrices(inclusion.target)
-    cc_quot = boundary_matrices(presentation.quotient)
+    cc_sub = inclusion.source.chain_complex
+    cc_total = inclusion.target.chain_complex
+    cc_quot = presentation.quotient.chain_complex
 
     proj_chain = chain_map_matrices(presentation.projection_map())
     for k, d in cc_total.boundaries.items():
@@ -208,25 +272,22 @@ def les_dimension_check(presentation) -> "SequenceReport":
             f"long exact sequence dimension sum is {alt}, expected 0"
         )
 
-    h_sub = homology(cc_sub)
-    h_total = homology(cc_total)
-
     incl_chain = chain_map_matrices(inclusion)
 
-    def induced_rank(reps, chain_mat, target_cc):
+    def induced_rank(source_cc, chain_mat, target_cc):
+        reps = source_cc.representatives(1)
         if not reps:
             return 0
         mapped = [chain_mat.apply(v) for v in reps]
-        img2 = image_basis(target_cc.boundary(2))
-        return rank_modulo(mapped, img2, target_cc.dims.get(1, 0))
+        return rank_modulo(mapped, target_cc.image(2), target_cc.dims.get(1, 0))
 
     r_incl = induced_rank(
-        h_sub.degrees[1].representatives if 1 in h_sub.degrees else [],
+        cc_sub,
         incl_chain.get(1, SparseMatrix(cc_total.dims.get(1, 0), cc_sub.dims.get(1, 0))),
         cc_total,
     )
     r_proj = induced_rank(
-        h_total.degrees[1].representatives if 1 in h_total.degrees else [],
+        cc_total,
         proj_chain.get(1, SparseMatrix(cc_quot.dims.get(1, 0), cc_total.dims.get(1, 0))),
         cc_quot,
     )

@@ -5,11 +5,13 @@ guarantees are strict: scalars are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms), there is no floating point and no
 tolerance anywhere.  One forward sparse elimination serves every
 function: it touches only the rows holding each pivot column.  A rank
-is its pivot count; kernel bases, image bases, cokernel representatives,
-particular solutions and residues modulo a span are read from the
-reduced row-echelon form with respect to the natural column order, so
-every returned vector is canonical: it does not depend on the order in
-which the elimination visits the rows.
+is its pivot count; image bases, cokernel representatives, particular
+solutions and residues modulo a span are read from the reduced
+row-echelon form with respect to the natural column order, and a kernel
+basis is the reduced row-echelon form of the null space, read from one
+elimination with the columns in reverse order.  Every returned vector is
+canonical: it does not depend on the order in which the elimination
+visits the rows.
 """
 
 from __future__ import annotations
@@ -272,32 +274,30 @@ def rank(m: SparseMatrix) -> int:
     return len(_eliminate(m)[1])
 
 
-def _canon_sign(vec: list[Fraction]) -> list[Fraction]:
-    """Scale by -1 if the first nonzero coordinate is negative."""
-    for v in vec:
-        if v:
-            return [-x for x in vec] if v < 0 else vec
-    return vec
-
-
 def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
-    """Canonical basis of the null space.
+    """Reduced row-echelon basis of the null space, in pivot order.
 
-    One vector per free (non-pivot) column of the reduced row-echelon
-    form, in column order: 1 at the free coordinate and the negated
-    reduced-echelon entries at the pivot coordinates, then sign-fixed so
-    the first nonzero coordinate is positive.  Exactly cols - rank
-    vectors, each satisfying m @ v == 0 identically.
+    One elimination of ``m`` with its columns reversed.  A column j is
+    free there exactly when it lies in the span of the columns to its
+    right, that is when some kernel vector has its leading nonzero at
+    j: the free columns are the pivots of the kernel's own echelon
+    form.  The vector of free column j has 1 at j and the negated
+    reduced-echelon entries at the pivot columns, all of which lie to
+    the right of j, so it leads with 1 and vanishes at the other kernel
+    pivots.  Exactly cols - rank vectors, each satisfying m @ v == 0
+    identically.
     """
-    rows, pivots, _ = _eliminate(m, basis=True)
-    free = {j: [QZERO] * m.cols for j in range(m.cols) if j not in pivots}
+    last = m.cols - 1
+    rev = SparseMatrix(m.rows, m.cols, {(i, last - j): v for (i, j), v in m.entries.items()})
+    rows, pivots, _ = _eliminate(rev, basis=True)
+    free = {last - j: [QZERO] * m.cols for j in range(last, -1, -1) if j not in pivots}
     for j, vec in free.items():
         vec[j] = QONE
     for pj, pi in pivots.items():
         for j, v in rows[pi].items():
             if j != pj:
-                free[j][pj] = -v
-    return [_canon_sign(vec) for vec in free.values()]
+                free[last - j][last - pj] = -v
+    return list(free.values())
 
 
 def cokernel_reps(m: SparseMatrix) -> list[list[Fraction]]:

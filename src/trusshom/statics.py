@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .complexes import CellComplex, Embedding, validate_embedding
@@ -19,12 +20,11 @@ from .cosheaves import (
     Cosheaf,
     QuotientPresentation,
     Subcomplex,
-    boundary_matrices,
     force_cosheaf,
     quotient_by_subcomplex,
 )
 from .errors import InternalCheckError, PreconditionError
-from .homology import ChainComplex, betti_numbers, homology
+from .homology import ChainComplex, betti_numbers
 from .sparse import SparseMatrix, hstack, rank
 
 Q = Fraction
@@ -42,9 +42,16 @@ class Truss:
     def dim(self) -> int:
         return self.embedding.dim
 
+    @cached_property
+    def cosheaf(self) -> Cosheaf:
+        """The force cosheaf, built on first use and kept, so that every
+        analysis of this truss shares one chain complex and its
+        eliminations."""
+        return force_cosheaf(self.complex, self.embedding)
+
 
 def force_chain_complex(t: Truss) -> ChainComplex:
-    return boundary_matrices(force_cosheaf(t.complex, t.embedding))
+    return t.cosheaf.chain_complex
 
 
 @dataclass(frozen=True)
@@ -66,12 +73,13 @@ def analyze(t: Truss) -> StaticsReport:
     equilibrium matrix; degree-of-freedom representatives are canonical
     vertex-velocity chains spanning the cokernel."""
     cc = force_chain_complex(t)
-    h = homology(cc)
+    stresses = cc.representatives(1)
+    dofs = cc.representatives(0)
     return StaticsReport(
-        betti0=h.betti(0),
-        betti1=h.betti(1),
-        self_stress_basis=h.degrees[1].representatives if 1 in h.degrees else [],
-        dof_reps=h.degrees[0].representatives,
+        betti0=len(dofs),
+        betti1=len(stresses),
+        self_stress_basis=stresses,
+        dof_reps=dofs,
     )
 
 
@@ -262,8 +270,8 @@ def decompose_boundary(
     if not empty:
         _check_single_cycle(x, y)
 
-    qp = quotient_by_subcomplex(force_cosheaf(x, t.embedding), y)
-    b_loop = betti_numbers(boundary_matrices(qp.inclusion.source))
+    qp = quotient_by_subcomplex(t.cosheaf, y)
+    b_loop = betti_numbers(qp.inclusion.source.chain_complex)
     if len(b_loop) > 1 and b_loop[1] != 0:
         raise PreconditionError(
             "boundary loop carries a self-stress; choose a loop in general position"
@@ -284,12 +292,10 @@ def equilibrium_stresses(d: BoundaryDecomposition) -> list[list[Fraction]]:
     Vectors are reported over all edges (zero on the loop's own edges);
     the connector coordinates are the loads/reactions along those lines
     of action, the rest a balanced internal state."""
-    cc = boundary_matrices(d.relative_cosheaf)
-    h = homology(cc)
-    reps = h.degrees[1].representatives if 1 in h.degrees else []
+    cc = d.relative_cosheaf.chain_complex
     labels = cc.labels[1]
     out = []
-    for v in reps:
+    for v in cc.representatives(1):
         full = [Q(0)] * d.truss.complex.nedges
         for coord, (cell, _) in zip(v, labels):
             full[cell.index] = coord

@@ -31,7 +31,14 @@ from trusshom.cosheaves import (
     incidence_pairs,
 )
 from trusshom.errors import InternalCheckError, PreconditionError
-from trusshom.sparse import SparseMatrix, kernel_basis, rank, solve_particular
+from trusshom.sparse import (
+    SparseMatrix,
+    image_basis,
+    kernel_basis,
+    rank,
+    row_space_reducer,
+    solve_particular,
+)
 from trusshom.statics import Truss
 
 Q = Fraction
@@ -50,21 +57,48 @@ def run_cli(*args, timeout=None):
     )
 
 
+def _rebind(monkeypatch, module, name, wrap):
+    """Replace function ``name`` of the module named ``module`` by
+    ``wrap(function)`` in every trusshom module that aliases it."""
+    orig = getattr(sys.modules[module], name)
+    wrapper = wrap(orig)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "trusshom" and getattr(mod, name, None) is orig:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
 def count_calls(monkeypatch, module, name):
     """Count the calls of function ``name`` of the module named ``module``:
     the function is wrapped and every trusshom module attribute that
     aliases it is rebound to the wrapper.  Returns a one-item list
     holding the running count."""
-    orig = getattr(sys.modules[module], name)
     calls = [0]
 
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return orig(*args, **kwargs)
+    def wrap(orig):
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return orig(*args, **kwargs)
 
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "trusshom" and getattr(mod, name, None) is orig:
-            monkeypatch.setattr(mod, name, counted)
+        return counted
+
+    _rebind(monkeypatch, module, name, wrap)
+    return calls
+
+
+def record_calls(monkeypatch, module, name):
+    """Like ``count_calls``, but returns the list to which each call
+    appends its ``(args, result)``."""
+    calls = []
+
+    def wrap(orig):
+        def recorded(*args, **kwargs):
+            result = orig(*args, **kwargs)
+            calls.append((args, result))
+            return result
+
+        return recorded
+
+    _rebind(monkeypatch, module, name, wrap)
     return calls
 
 
@@ -106,6 +140,26 @@ def matrix_rows(m):
     out = [[Q(0)] * m.cols for _ in range(m.rows)]
     for (i, j), v in m.entries.items():
         out[i][j] = v
+    return out
+
+
+def dense_homology(c) -> dict:
+    """Reference homology of a ChainComplex, by the dense route the
+    package once took: the full kernel basis in every degree (all unit
+    vectors where d_k = 0), each vector reduced against a re-eliminated
+    image of d_{k+1}, and the residues echelonised again.  Returns
+    ``{k: (betti, image basis, representatives)}``; the complex's own
+    kept eliminations are not read."""
+    out = {}
+    for k in range(c.top_degree + 1):
+        n = c.dims.get(k, 0)
+        kern = kernel_basis(c.boundary(k))
+        img = image_basis(c.boundary(k + 1))
+        reduce = row_space_reducer(img, n)
+        residues = [r for v in kern if any(r := reduce(v))]
+        reps = image_basis(SparseMatrix.from_columns(residues, n)) if residues else []
+        assert len(reps) == len(kern) - len(img)
+        out[k] = (len(reps), img, reps)
     return out
 
 

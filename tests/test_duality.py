@@ -372,8 +372,9 @@ def test_relative_diagram_zero_stress_collapses():
 
 def test_relative_computes_the_equilibrium_homology_once(monkeypatch, capsys):
     # the command selects the stress from its own basis and passes it on,
-    # so the diagram does not recompute the basis
-    calls = count_calls(monkeypatch, "trusshom.homology", "homology")
+    # so the diagram does not recompute the basis: the relative complex's
+    # kernel is eliminated once, and its rank is read from that kernel
+    calls = count_calls(monkeypatch, "trusshom.sparse", "kernel_basis")
     assert main(["relative", str(REPO / "fixtures" / "loaded1.json")]) == 0
     assert calls[0] == 1
     capsys.readouterr()

@@ -1,7 +1,11 @@
+import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from trusshom.cli import main
 from trusshom.complexes import build_complex
 from trusshom.cosheaves import (
     Cosheaf,
@@ -12,8 +16,15 @@ from trusshom.cosheaves import (
     QuotientPresentation,
     incidence_pairs,
     quotient_by_subcomplex,
+    spline_cosheaf,
 )
-from trusshom.errors import InternalCheckError
+from trusshom.documents import (
+    document_to_form_diagram,
+    document_to_truss,
+    parse_truss_document,
+)
+from trusshom.duality import FormDiagram, position_cosheaf
+from trusshom.errors import InternalCheckError, PreconditionError
 from trusshom.homology import (
     ChainComplex,
     betti_numbers,
@@ -26,7 +37,15 @@ from trusshom.samples import loaded_triangle, square4, wheel5
 from trusshom.sparse import SparseMatrix, rank_modulo
 from trusshom.statics import Truss, force_chain_complex
 
-from conftest import flip_edge, flip_face, random_form_truss
+from conftest import (
+    REPO,
+    dense_homology,
+    flip_edge,
+    flip_face,
+    random_form_truss,
+    random_truss,
+    record_calls,
+)
 
 Q = Fraction
 
@@ -174,8 +193,6 @@ def test_les_rejects_a_projection_that_is_not_a_chain_map():
 def test_les_wheel5_position_triple_satisfies_both_splits():
     x = wheel5(with_faces=True).complex
     emb = wheel5().embedding
-    from trusshom.duality import FormDiagram, position_cosheaf
-
     pc = position_cosheaf(FormDiagram(Truss(x, emb)))
     rep = les_dimension_check(pc.presentation)
     assert rep.alternating_sum == 0
@@ -183,3 +200,145 @@ def test_les_wheel5_position_triple_satisfies_both_splits():
     assert d_g[2] == d_f[1] + d_r2[2]          # dual realizations split
     assert d_g[1] == d_f[0] - d_r2[0]          # impossible rotations split
     assert (d_r2[0], d_r2[1], d_r2[2]) == (2, 0, 2)
+
+
+# ---------------------------------------------------------------------------
+# the kept eliminations against the dense oracle
+# ---------------------------------------------------------------------------
+
+
+def assert_matches_dense_oracle(f: Cosheaf) -> tuple[int, ...]:
+    """Betti numbers, image bases and representatives of the cosheaf's
+    complex equal the dense oracle's exactly, whether the ranks or the
+    bases are asked for first.  Returns the Betti numbers."""
+    expected = dense_homology(boundary_matrices(f))
+    betti = tuple(b for b, _, _ in expected.values())
+    rank_first = boundary_matrices(f)
+    assert betti_numbers(rank_first) == betti
+    for cc in (rank_first, boundary_matrices(f)):
+        h = homology(cc)
+        for k, (b, image, reps) in expected.items():
+            assert h.degrees[k].betti == b
+            assert h.degrees[k].image == image
+            assert h.degrees[k].representatives == reps
+        assert betti_numbers(cc) == betti
+    return betti
+
+
+def fixture_cosheaves():
+    """Force cosheaves of every fixture, of its form diagram and of its
+    boundary split where those exist, plus the position cosheaf."""
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        doc = parse_truss_document(path.read_text())
+        loaded = document_to_truss(doc)
+        yield path.stem, loaded.truss.cosheaf
+        if doc.boundary is not None:
+            dec = loaded.boundary_decomposition()
+            yield path.stem, dec.presentation.inclusion.source
+            yield path.stem, dec.relative_cosheaf
+        try:
+            fd, _ = document_to_form_diagram(doc)
+        except PreconditionError:
+            continue
+        yield path.stem, fd.truss.cosheaf
+        yield path.stem, position_cosheaf(fd).cosheaf
+
+
+def test_homology_matches_dense_oracle_on_every_fixture():
+    stems = set()
+    for stem, f in fixture_cosheaves():
+        assert_matches_dense_oracle(f)
+        stems.add(stem)
+    assert len(stems) == len(list((REPO / "fixtures").glob("*.json")))
+
+
+def test_grid6_fixture_has_the_larger_bases():
+    doc = parse_truss_document((REPO / "fixtures" / "grid6.json").read_text())
+    assert assert_matches_dense_oracle(document_to_truss(doc).truss.cosheaf) == (4, 5)
+
+
+def test_homology_matches_dense_oracle_on_random_form_trusses():
+    rng = random.Random(71)
+    for _ in range(40):
+        t = random_form_truss(rng)
+        assert_matches_dense_oracle(force_cosheaf(t.complex, t.embedding))
+        assert_matches_dense_oracle(position_cosheaf(FormDiagram(t)).cosheaf)
+
+
+def test_homology_matches_dense_oracle_on_closed_spheres():
+    # both d1 and d2 are nonzero, so degree 1 reduces kernel rows against
+    # image rows; on a sphere every residue vanishes
+    rng = random.Random(72)
+    spheres = [wheel5(with_faces=True).complex] + [
+        random_form_truss(rng).complex for _ in range(10)
+    ]
+    for x in spheres:
+        for m in (1, 2):
+            cc = boundary_matrices(constant_cosheaf(x, m))
+            assert not cc.boundary(1).is_zero() and not cc.boundary(2).is_zero()
+            assert assert_matches_dense_oracle(constant_cosheaf(x, m)) == (m, 0, m)
+
+
+def test_homology_matches_dense_oracle_on_punctured_spheres():
+    # a sphere without two of its faces is an annulus: degree 1 keeps m
+    # residues of the kernel rows after the reduction against the image
+    rng = random.Random(73)
+    for _ in range(10):
+        x = random_form_truss(rng).complex
+        hole = 1 if x.exterior_face == 0 else 0
+        keep = [f for i, f in enumerate(x.faces) if i not in (hole, x.exterior_face)]
+        annulus = build_complex(x.nverts, x.edges, keep)
+        for m in (1, 2):
+            assert assert_matches_dense_oracle(constant_cosheaf(annulus, m)) == (m, m, 0)
+
+
+def test_homology_matches_dense_oracle_on_spline_complexes():
+    rng = random.Random(74)
+    graphs = [wheel5().complex, square4().complex] + [
+        random_truss(rng, 2).complex for _ in range(6)
+    ]
+    for x in graphs:
+        for degree, smoothness in ((0, 0), (1, 0), (2, 1), (3, 1)):
+            assert_matches_dense_oracle(spline_cosheaf(x, degree, smoothness))
+
+
+# ---------------------------------------------------------------------------
+# one assembly of the force complex, no elimination repeated
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("fixture", ["grid6", "loaded1"])
+@pytest.mark.parametrize("command", ["analyze", "maxwell", "check", "selfstress", "dual"])
+def test_commands_assemble_and_eliminate_once(fixture, command, monkeypatch, capsys):
+    path = REPO / "fixtures" / f"{fixture}.json"
+    t = document_to_truss(parse_truss_document(path.read_text())).truss
+    equilibrium = boundary_matrices(force_cosheaf(t.complex, t.embedding)).boundary(1)
+    assembled = record_calls(monkeypatch, "trusshom.cosheaves", "boundary_matrices")
+    eliminated = record_calls(monkeypatch, "trusshom.sparse", "_eliminate")
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    force = [cc for _, cc in assembled if cc.boundary(1) == equilibrium]
+    assert len(force) == 1
+    matrices = [args[0] for args, _ in eliminated]
+    assert matrices and len(set(matrices)) == len(matrices)
+
+
+def test_selfstress_on_isolated_vertices_stays_small(tmp_path, capsys):
+    # 2,000 vertices and no members: no chain of degree 1, so nothing
+    # may build the 4,000 unit vectors of degree 0
+    doc = {
+        "version": 1,
+        "dim": 2,
+        "vertices": [{"id": f"v{i}", "pos": [str(i), "0"]} for i in range(2000)],
+        "edges": [],
+    }
+    path = tmp_path / "isolated.json"
+    path.write_text(json.dumps(doc))
+    tracemalloc.start()
+    try:
+        assert main(["selfstress", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["dimension"] == 0
+    assert peak < 50 * 2**20

@@ -200,9 +200,12 @@ def from_sympy(vec):
     return [Q(int(v.p), int(v.q)) for v in vec]
 
 
-def sign_normalized(vec):
-    lead = next((v for v in vec if v), 1)
-    return [-v for v in vec] if lead < 0 else vec
+def sympy_rref_rows(sympy, vectors):
+    """Nonzero rows of the reduced row-echelon form of the span of ``vectors``."""
+    if not vectors:
+        return []
+    rref, pivots = sympy.Matrix.hstack(*vectors).T.rref()
+    return [from_sympy(rref.row(k)) for k in range(len(pivots))]
 
 
 def test_rank_low_rank_products_match_sympy():
@@ -213,12 +216,13 @@ def test_rank_low_rank_products_match_sympy():
 
 @pytest.mark.parametrize("seed", range(100, 110))
 def test_bases_are_sympy_reduced_echelon_forms(seed):
-    """Kernel and image bases are read off the reduced row-echelon form
-    with respect to the natural column order, as sympy computes it."""
+    """Kernel and image bases are the reduced row-echelon forms of the
+    null space and the column space with respect to the natural column
+    order, as sympy computes them."""
     sympy = pytest.importorskip("sympy")
     for m in low_rank_matrices(seed, count=8):
         sm = to_sympy(sympy, m)
-        assert kernel_basis(m) == [sign_normalized(from_sympy(v)) for v in sm.nullspace()]
+        assert kernel_basis(m) == sympy_rref_rows(sympy, sm.nullspace())
         rref, pivots = sm.T.rref()
         assert image_basis(m) == [from_sympy(rref.row(k)) for k in range(len(pivots))]
         assert cokernel_reps(m) == [
