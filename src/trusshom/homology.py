@@ -108,9 +108,9 @@ class ChainComplex:
         are the unit vectors at the coordinates that are not pivots of
         the image, which ``cokernel_reps`` reads off the elimination of
         d_{k+1} without writing the image out.  Where d_{k+1} = 0 they
-        are the kernel basis itself.  Otherwise each kernel row is reduced against the image rows,
-        which clears it at every image pivot, and the residues are
-        echelonised once."""
+        are the kernel basis itself.  Otherwise each kernel row is
+        reduced against the image rows, which clears it at every image
+        pivot, and the residues are echelonised once."""
         key = ("representatives", k)
         if key not in self._factors:
             n = self.dims.get(k, 0)
