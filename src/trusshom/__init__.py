@@ -36,12 +36,14 @@ from .duality import (
     RelativeForceDiagram,
     check_form_finding_safety,
     force_diagram_from_stress,
+    force_diagrams_from_stresses,
     form_diagram,
     impossible_rotation_basis,
     motion_to_rotation_class,
     position_cosheaf,
     relative_force_diagram,
     stress_from_force_diagram,
+    stresses_from_force_diagrams,
 )
 from .errors import InputError, InternalCheckError, PreconditionError, TrussHomError
 from .homology import (

@@ -383,9 +383,11 @@ def planar_faces(x: CellComplex, emb: Embedding) -> CellComplex:
         out_darts[t].append((e, +1))
         out_darts[h].append((e, -1))
 
+    vectors = [edge_vector(x, emb, e) for e in range(x.nedges)]
+
     def dart_vec(d):
         e, s = d
-        vec = edge_vector(x, emb, e)
+        vec = vectors[e]
         return vec if s == +1 else (-vec[0], -vec[1])
 
     prev_in_rotation: dict[tuple[int, int], tuple[int, int]] = {}

@@ -159,12 +159,13 @@ def force_cosheaf(x: CellComplex, emb: Embedding) -> Cosheaf:
         stalks[e] = 1
     for fc in x.face_ids():
         stalks[fc] = 0
+    columns = [
+        SparseMatrix(n, 1, {(i, 0): c for i, c in enumerate(edge_vector(x, emb, e)) if c})
+        for e in range(x.nedges)
+    ]
     maps: dict[tuple[CellId, CellId], SparseMatrix] = {}
     for e, v, _ in x.edge_vertex_incidences():
-        vec = edge_vector(x, emb, e.index)
-        maps[(e, v)] = SparseMatrix(
-            n, 1, {(i, 0): c for i, c in enumerate(vec) if c}
-        )
+        maps[(e, v)] = columns[e.index]
     for fc, e, _ in x.face_edge_incidences():
         maps[(fc, e)] = SparseMatrix(1, 0)
     return Cosheaf(x, stalks, maps)

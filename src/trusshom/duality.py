@@ -9,13 +9,26 @@ degree-1 homology consists of per-edge rotation data no dual realization
 can achieve.  Self-stresses integrate to force diagrams along a spanning
 tree of the dual graph; mechanisms and global rotations map to nonzero
 impossible-rotation classes.
+
+A form diagram keeps its edge vectors (also as integers over their
+common denominator), their squared lengths, its equilibrium matrix, its
+Poincare dual and its dual spanning tree, each built on first use.  The
+round trip between stresses and force diagrams runs on a whole batch of
+stresses at once: one sparse product checks that every stress is a
+self-stress, and each stress is then one walk of the kept tree in
+integer arithmetic, followed by the exact closure check on every dual
+edge; reading stresses back off positions is integer arithmetic too,
+with one reduced fraction per edge.  The one-stress functions are
+one-column calls into the same code.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from functools import cached_property
+from math import lcm
+from typing import NamedTuple, Optional, Sequence
 
 from .complexes import (
     CellComplex,
@@ -40,6 +53,7 @@ from .sparse import SparseMatrix, row_space_reducer, solve_particular
 from .statics import BoundaryDecomposition, Truss, equilibrium_stresses
 
 Q = Fraction
+ZERO = Q(0)
 
 Point = tuple[Fraction, Fraction]
 
@@ -49,16 +63,8 @@ def rot90(v: Sequence[Fraction]) -> Point:
     return (-v[1], v[0])
 
 
-def _cross(a, b) -> Fraction:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def _dot(a, b) -> Fraction:
     return a[0] * b[0] + a[1] * b[1]
-
-
-def _sub(a, b) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
 
 
 @dataclass(frozen=True)
@@ -89,8 +95,57 @@ class FormDiagram:
     def embedding(self) -> Embedding:
         return self.truss.embedding
 
+    @cached_property
+    def edge_vectors(self) -> tuple[Point, ...]:
+        """p(head) - p(tail) of every edge."""
+        x = self.complex
+        return tuple(edge_vector(x, self.embedding, e) for e in range(x.nedges))
+
+    @cached_property
+    def integer_edge_vectors(self) -> tuple[int, tuple[tuple[int, int], ...]]:
+        """``(w, vectors)``: the least common denominator w of all edge
+        vector coordinates, and every edge vector times w, in integers.
+        The stress round trip runs on these, so that its arithmetic is
+        on integers and each result is reduced once."""
+        w = lcm(*(c.denominator for v in self.edge_vectors for c in v))
+        return w, tuple((int(vx * w), int(vy * w)) for vx, vy in self.edge_vectors)
+
+    @cached_property
+    def edge_norms(self) -> tuple[int, ...]:
+        """Squared length of every integer edge vector: w**2 times the
+        squared length of the edge."""
+        return tuple(vx * vx + vy * vy for vx, vy in self.integer_edge_vectors[1])
+
+    @cached_property
+    def equilibrium(self) -> SparseMatrix:
+        """The equilibrium matrix (two rows per joint, one column per
+        edge), the d1 of the force complex, written from the edge vectors
+        so that a form diagram with traced faces assembles no second
+        force complex."""
+        x = self.complex
+        entries = {}
+        for e, ((t, h), vec) in enumerate(zip(x.edges, self.edge_vectors)):
+            for i, c in enumerate(vec):
+                if c:
+                    entries[(2 * h + i, e)] = c
+                    entries[(2 * t + i, e)] = -c
+        return SparseMatrix(2 * x.nverts, x.nedges, entries)
+
+    @cached_property
+    def dual(self) -> CellComplex:
+        """The Poincare dual; raises PreconditionError when the complex
+        is not regular."""
+        return poincare_dual(self.complex)
+
+    @cached_property
+    def dual_tree(self) -> DualTree:
+        """Spanning tree of the whole dual graph, anchored at the
+        exterior face."""
+        x = self.complex
+        return _dual_tree(x, range(x.nfaces), range(x.nedges), x.exterior_face)
+
     def edge_vec(self, e: int) -> Point:
-        return edge_vector(self.complex, self.embedding, e)
+        return self.edge_vectors[e]
 
 
 def form_diagram(t: Truss) -> FormDiagram:
@@ -151,7 +206,7 @@ def position_cosheaf(fd: FormDiagram) -> PositionCosheaf:
     if check_cosheaf_map(incl):
         raise InternalCheckError("force -> constant inclusion squares fail")
 
-    perp = tuple(rot90(fd.edge_vec(e)) for e in range(x.nedges))
+    perp = tuple(rot90(v) for v in fd.edge_vectors)
     for e, n in enumerate(perp):
         if n == (0, 0):
             raise InputError(f"edge {e} has zero length")
@@ -215,96 +270,183 @@ class ForceDiagram:
         return self.positions[fl], self.positions[fr]
 
 
-def _check_selfstress(fd: FormDiagram, stress: Sequence[Fraction]) -> list[Fraction]:
-    x = fd.complex
-    if len(stress) != x.nedges:
-        raise InputError(f"stress has {len(stress)} entries for {x.nedges} edges")
-    s = [Q(v) for v in stress]
-    net = [Q(0)] * (2 * x.nverts)
-    for e, (t, h) in enumerate(x.edges):
-        vec = fd.edge_vec(e)
-        for i in range(2):
-            net[h * 2 + i] += s[e] * vec[i]
-            net[t * 2 + i] -= s[e] * vec[i]
-    if any(net):
-        raise PreconditionError("stress is not a self-stress: nonzero joint forces")
-    return s
+class DualTree(NamedTuple):
+    """Spanning tree of the dual graph on a region of faces.
+
+    ``steps`` lists ``(face, parent, edge, sign)`` with every parent
+    before its children; the anchor is the root and has no step.
+    Crossing the dual edge of primal edge e from its left face to its
+    right face displaces by -s_e * (edge vector), so a step places face
+    at parent + sign * s_e * (edge vector).  ``sides`` lists ``(edge,
+    left face, right face)`` for every dual edge of the region, tree
+    edges included, for the closure check."""
+
+    anchor: int
+    steps: tuple[tuple[int, int, int, int], ...]
+    sides: tuple[tuple[int, int, int], ...]
 
 
-def _integrate_dual_tree(
-    t: Truss, faces, edges, anchor: int, s: Sequence[Fraction]
-) -> dict[int, Point]:
-    """Dual-vertex positions of ``faces`` integrated from the stress ``s``.
-
-    ``anchor`` sits at the origin; crossing the dual edge of primal edge e
-    from its left face to its right face displaces by -s_e * (edge
-    vector), so q(left) - q(right) = s_e * vec holds on every edge.  The
-    walk follows a spanning tree of the dual graph on ``faces`` and
-    ``edges``; closure over the other dual edges is checked exactly and
-    cannot fail for a genuine stress."""
-    x = t.complex
-    sides = {e: x.left_right_faces(e) for e in edges}
-    steps = {}
-    adj: dict[int, list[tuple[int, Point]]] = {f: [] for f in faces}
-    for e, (fl, fr) in sides.items():
+def _dual_tree(x: CellComplex, faces, edges, anchor: int) -> DualTree:
+    """Spanning tree of the dual graph on ``faces`` and ``edges``, by a
+    depth-first walk from ``anchor``.  Every edge must bound exactly two
+    faces of the region, and the region must be connected."""
+    sides = tuple((e, *x.left_right_faces(e)) for e in edges)
+    adj: dict[int, list[tuple[int, int, int]]] = {f: [] for f in faces}
+    for e, fl, fr in sides:
         if fl not in adj or fr not in adj:
             raise InternalCheckError(f"edge {e} touches a face outside the dual region")
-        vec = edge_vector(x, t.embedding, e)
-        steps[e] = step = (s[e] * vec[0], s[e] * vec[1])
-        adj[fl].append((fr, (-step[0], -step[1])))
-        adj[fr].append((fl, step))
-    q = {anchor: (Q(0), Q(0))}
+        adj[fl].append((fr, e, -1))
+        adj[fr].append((fl, e, +1))
+    seen = {anchor}
+    steps = []
     stack = [anchor]
     while stack:
         cur = stack.pop()
-        for nxt, step in adj[cur]:
-            if nxt not in q:
-                q[nxt] = (q[cur][0] + step[0], q[cur][1] + step[1])
+        for nxt, e, sign in adj[cur]:
+            if nxt not in seen:
+                seen.add(nxt)
+                steps.append((nxt, cur, e, sign))
                 stack.append(nxt)
-    if len(q) != len(adj):
+    if len(seen) != len(adj):
         raise InternalCheckError("dual graph is disconnected")
-    for e, (fl, fr) in sides.items():
-        if _sub(q[fl], q[fr]) != steps[e]:
-            raise InternalCheckError(f"dual tree integration failed to close at edge {e}")
-    return q
+    return DualTree(anchor, tuple(steps), sides)
+
+
+def _common_denominator(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``(d, numerators)`` with values[i] == numerators[i] / d, where d is
+    the least common denominator of the values."""
+    d = lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _integrate_dual_tree(
+    tree: DualTree,
+    integer_vectors: tuple[int, Sequence[tuple[int, int]]],
+    stresses: Sequence[Sequence[Fraction]],
+) -> list[dict[int, Point]]:
+    """Dual-vertex positions of the tree's faces for each stress.
+
+    ``integer_vectors`` is ``(w, vectors)`` as in
+    ``FormDiagram.integer_edge_vectors``.  The anchor sits at the origin
+    and each stress is one walk of the tree, so q(left) - q(right) =
+    s_e * (edge vector) holds on every tree edge.  The walk runs on the
+    stress's numerators over its common denominator d, so every
+    position is an integer over d * w until it is written out.  Closure
+    over every dual edge of the region is then checked exactly; it
+    cannot fail for a genuine stress."""
+    w, vectors = integer_vectors
+    out = []
+    for s in stresses:
+        d, n = _common_denominator(s)
+        qx = {tree.anchor: 0}
+        qy = {tree.anchor: 0}
+        for f, parent, e, sign in tree.steps:
+            c = n[e] if sign > 0 else -n[e]
+            vx, vy = vectors[e]
+            qx[f] = qx[parent] + c * vx
+            qy[f] = qy[parent] + c * vy
+        for e, fl, fr in tree.sides:
+            vx, vy = vectors[e]
+            c = n[e]
+            if qx[fl] - qx[fr] != c * vx or qy[fl] - qy[fr] != c * vy:
+                raise InternalCheckError(f"dual tree integration failed to close at edge {e}")
+        # faces at the same integer position share one point, so a stress
+        # that vanishes on most edges writes few fractions out
+        scale = d * w
+        points: dict[tuple[int, int], Point] = {}
+        q = {}
+        for f, x in qx.items():
+            key = (x, qy[f])
+            if key not in points:
+                points[key] = (Q(key[0], scale), Q(key[1], scale))
+            q[f] = points[key]
+        out.append(q)
+    return out
+
+
+def _check_selfstresses(fd: FormDiagram, stresses: list[list[Fraction]]) -> None:
+    """Raise unless every stress has zero net force at every joint: one
+    sparse product of the equilibrium matrix with the stresses as its
+    columns."""
+    stack = SparseMatrix(
+        fd.complex.nedges,
+        len(stresses),
+        {(e, j): v for j, s in enumerate(stresses) for e, v in enumerate(s) if v},
+    )
+    if not (fd.equilibrium @ stack).is_zero():
+        raise PreconditionError("stress is not a self-stress: nonzero joint forces")
+
+
+def force_diagrams_from_stresses(
+    fd: FormDiagram, stresses: Sequence[Sequence[Fraction]]
+) -> list[ForceDiagram]:
+    """Integrate a batch of self-stresses into dual-vertex positions.
+
+    The exterior face's dual vertex is anchored at the origin, and every
+    stress walks the form diagram's one dual tree."""
+    x = fd.complex
+    ss = []
+    for stress in stresses:
+        if len(stress) != x.nedges:
+            raise InputError(f"stress has {len(stress)} entries for {x.nedges} edges")
+        ss.append([Q(v) for v in stress])
+    _check_selfstresses(fd, ss)
+    dual = fd.dual
+    return [
+        ForceDiagram(fd, dual, tuple(q[f] for f in range(x.nfaces)))
+        for q in _integrate_dual_tree(fd.dual_tree, fd.integer_edge_vectors, ss)
+    ]
 
 
 def force_diagram_from_stress(fd: FormDiagram, stress: Sequence[Fraction]) -> ForceDiagram:
-    """Integrate a self-stress into dual-vertex positions.
+    """Integrate one self-stress into dual-vertex positions; see
+    ``force_diagrams_from_stresses``."""
+    return force_diagrams_from_stresses(fd, [stress])[0]
 
-    The exterior face's dual vertex is anchored at the origin and the
-    positions follow from the dual tree integration above."""
-    s = _check_selfstress(fd, stress)
+
+def stresses_from_force_diagrams(
+    fd: FormDiagram, diagrams: Sequence[Sequence[Point]]
+) -> list[list[Fraction]]:
+    """Recover the self-stresses encoded by a batch of parallel dual
+    realizations, each given by its dual-vertex positions.
+
+    Every dual edge must be exactly parallel to its primal edge (cross
+    product zero); the stress on e is the ratio of the dual displacement
+    to the edge vector.  Both are computed on the positions' numerators
+    over their common denominator and on the integer edge vectors.  The
+    recovered stresses are checked to be self-stresses."""
     x = fd.complex
-    dual = poincare_dual(x)
-    q = _integrate_dual_tree(fd.truss, range(x.nfaces), range(x.nedges), x.exterior_face, s)
-    return ForceDiagram(fd, dual, tuple(q[f] for f in range(x.nfaces)))
+    w, vectors = fd.integer_edge_vectors
+    edges = [
+        (e, *x.left_right_faces(e), vec, nn)
+        for e, (vec, nn) in enumerate(zip(vectors, fd.edge_norms))
+    ]
+    out = []
+    for positions in diagrams:
+        if len(positions) != x.nfaces:
+            raise InputError(f"{len(positions)} dual positions for {x.nfaces} faces")
+        d, flat = _common_denominator([Q(c) for p in positions for c in (p[0], p[1])])
+        px, py = flat[0::2], flat[1::2]
+        s = []
+        for e, fl, fr, (vx, vy), nn in edges:
+            dx, dy = px[fl] - px[fr], py[fl] - py[fr]
+            if dx * vy != dy * vx:
+                raise PreconditionError(
+                    f"dual positions are not parallel to primal edge {e}"
+                )
+            dot = dx * vx + dy * vy
+            s.append(Q(dot * w, d * nn) if dot else ZERO)
+        out.append(s)
+    _check_selfstresses(fd, out)
+    return out
 
 
 def stress_from_force_diagram(
     fd: FormDiagram, positions: Sequence[Point]
 ) -> list[Fraction]:
-    """Recover the self-stress encoded by a parallel dual realization.
-
-    Every dual edge must be exactly parallel to its primal edge (rational
-    cross product zero); the stress on e is the ratio of the dual
-    displacement to the edge vector."""
-    x = fd.complex
-    if len(positions) != x.nfaces:
-        raise InputError(f"{len(positions)} dual positions for {x.nfaces} faces")
-    pos = [(Q(p[0]), Q(p[1])) for p in positions]
-    s = []
-    for e in range(x.nedges):
-        fl, fr = x.left_right_faces(e)
-        d = _sub(pos[fl], pos[fr])
-        vec = fd.edge_vec(e)
-        if _cross(d, vec) != 0:
-            raise PreconditionError(
-                f"dual positions are not parallel to primal edge {e}"
-            )
-        s.append(_dot(d, vec) / _dot(vec, vec))
-    _check_selfstress(fd, s)
-    return s
+    """Recover the self-stress encoded by one parallel dual realization;
+    see ``stresses_from_force_diagrams``."""
+    return stresses_from_force_diagrams(fd, [positions])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +643,12 @@ def relative_force_diagram(
         raise PreconditionError("stress is not an equilibrium stress of the region")
 
     _, edges, faces = _interior_region(x, dec.loop)
-    q = _integrate_dual_tree(t, faces, edges, min(faces), s)
+    tree = _dual_tree(x, faces, edges, min(faces))
+    fd = FormDiagram(t)
+    (q,) = _integrate_dual_tree(tree, fd.integer_edge_vectors, [s])
 
     # dimension identity: relative dual realizations modulo translation
     # match equilibrium stresses
-    fd = FormDiagram(t)
     pc = position_cosheaf(fd)
     g_loop = Subcomplex.of(
         x, dec.loop.vertices, dec.loop.edges, {x.exterior_face}

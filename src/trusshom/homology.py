@@ -274,20 +274,23 @@ def les_dimension_check(presentation) -> "SequenceReport":
 
     incl_chain = chain_map_matrices(inclusion)
 
-    def induced_rank(source_cc, chain_mat, target_cc):
-        reps = source_cc.representatives(1)
-        if not reps:
+    def induced_rank(source_cc, source_dims, chain_mat, target_cc):
+        # without degree-1 classes there is nothing to map, and no kernel
+        # to eliminate beyond the rank the Betti numbers already read
+        if top < 1 or not source_dims[1]:
             return 0
-        mapped = [chain_mat.apply(v) for v in reps]
+        mapped = [chain_mat.apply(v) for v in source_cc.representatives(1)]
         return rank_modulo(mapped, target_cc.image(2), target_cc.dims.get(1, 0))
 
     r_incl = induced_rank(
         cc_sub,
+        d_sub,
         incl_chain.get(1, SparseMatrix(cc_total.dims.get(1, 0), cc_sub.dims.get(1, 0))),
         cc_total,
     )
     r_proj = induced_rank(
         cc_total,
+        d_total,
         proj_chain.get(1, SparseMatrix(cc_quot.dims.get(1, 0), cc_total.dims.get(1, 0))),
         cc_quot,
     )

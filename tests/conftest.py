@@ -20,7 +20,9 @@ from trusshom.complexes import (
     CellComplex,
     Embedding,
     build_complex,
+    edge_vector,
     planar_faces,
+    poincare_dual,
     segments_conflict,
 )
 from trusshom.cosheaves import (
@@ -30,7 +32,7 @@ from trusshom.cosheaves import (
     check_cosheaf_map,
     incidence_pairs,
 )
-from trusshom.errors import InternalCheckError, PreconditionError
+from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.sparse import (
     SparseMatrix,
     image_basis,
@@ -259,6 +261,85 @@ def quotient_cosheaf(incl: CosheafMap) -> QuotientPresentation:
     if check_cosheaf_map(qp.projection_map()):
         raise InternalCheckError("quotient projection is not a cosheaf map")
     return qp
+
+
+# ---------------------------------------------------------------------------
+# per-stress force-diagram oracle (one stress at a time, no kept tables)
+# ---------------------------------------------------------------------------
+
+
+def _oracle_selfstress(x, emb, stress):
+    if len(stress) != x.nedges:
+        raise InputError(f"stress has {len(stress)} entries for {x.nedges} edges")
+    s = [Q(v) for v in stress]
+    net = [Q(0)] * (2 * x.nverts)
+    for e, (t, h) in enumerate(x.edges):
+        vec = edge_vector(x, emb, e)
+        for i in range(2):
+            net[h * 2 + i] += s[e] * vec[i]
+            net[t * 2 + i] -= s[e] * vec[i]
+    if any(net):
+        raise PreconditionError("stress is not a self-stress: nonzero joint forces")
+    return s
+
+
+def oracle_dual_tree(t: Truss, faces, edges, anchor, s) -> dict:
+    """Dual-vertex positions of ``faces`` integrated from the stress ``s``
+    along a depth-first spanning tree built for this one stress, with
+    the closure over every dual edge checked exactly."""
+    x = t.complex
+    sides = {e: x.left_right_faces(e) for e in edges}
+    steps = {}
+    adj = {f: [] for f in faces}
+    for e, (fl, fr) in sides.items():
+        if fl not in adj or fr not in adj:
+            raise InternalCheckError(f"edge {e} touches a face outside the dual region")
+        vec = edge_vector(x, t.embedding, e)
+        steps[e] = step = (s[e] * vec[0], s[e] * vec[1])
+        adj[fl].append((fr, (-step[0], -step[1])))
+        adj[fr].append((fl, step))
+    q = {anchor: (Q(0), Q(0))}
+    stack = [anchor]
+    while stack:
+        cur = stack.pop()
+        for nxt, step in adj[cur]:
+            if nxt not in q:
+                q[nxt] = (q[cur][0] + step[0], q[cur][1] + step[1])
+                stack.append(nxt)
+    if len(q) != len(adj):
+        raise InternalCheckError("dual graph is disconnected")
+    for e, (fl, fr) in sides.items():
+        if (q[fl][0] - q[fr][0], q[fl][1] - q[fr][1]) != steps[e]:
+            raise InternalCheckError(f"dual tree integration failed to close at edge {e}")
+    return q
+
+
+def oracle_force_positions(t: Truss, stress) -> tuple:
+    """Force-diagram positions of one self-stress, anchored at the
+    exterior face, building the dual and every edge vector afresh."""
+    x = t.complex
+    s = _oracle_selfstress(x, t.embedding, stress)
+    poincare_dual(x)
+    q = oracle_dual_tree(t, range(x.nfaces), range(x.nedges), x.exterior_face, s)
+    return tuple(q[f] for f in range(x.nfaces))
+
+
+def oracle_stress_from_positions(t: Truss, positions) -> list:
+    """The stress read back from one parallel dual realization."""
+    x = t.complex
+    if len(positions) != x.nfaces:
+        raise InputError(f"{len(positions)} dual positions for {x.nfaces} faces")
+    pos = [(Q(p[0]), Q(p[1])) for p in positions]
+    s = []
+    for e in range(x.nedges):
+        fl, fr = x.left_right_faces(e)
+        d = (pos[fl][0] - pos[fr][0], pos[fl][1] - pos[fr][1])
+        vec = edge_vector(x, t.embedding, e)
+        if d[0] * vec[1] - d[1] * vec[0] != 0:
+            raise PreconditionError(f"dual positions are not parallel to primal edge {e}")
+        s.append((d[0] * vec[0] + d[1] * vec[1]) / (vec[0] * vec[0] + vec[1] * vec[1]))
+    _oracle_selfstress(x, t.embedding, s)
+    return s
 
 
 # ---------------------------------------------------------------------------

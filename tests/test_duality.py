@@ -6,17 +6,31 @@ import pytest
 from trusshom.cli import main
 from trusshom.complexes import CellComplex, Embedding, build_complex
 from trusshom.cosheaves import Subcomplex, quotient_by_subcomplex
-from trusshom.documents import LoadedTruss, force_diagram_document
+from trusshom.documents import (
+    LoadedTruss,
+    document_to_form_diagram,
+    document_to_truss,
+    force_diagram_document,
+    parse_truss_document,
+)
 from trusshom.errors import InputError, InternalCheckError, PreconditionError
-from trusshom.homology import betti_numbers
+from trusshom.homology import ChainComplex, betti_numbers
 from trusshom.samples import loaded_triangle, square4, tri3_spherical, wheel5
 from trusshom.sparse import image_basis, rank, rank_modulo
-from trusshom.statics import Truss, analyze, decompose_boundary
+from trusshom.statics import (
+    Truss,
+    analyze,
+    decompose_boundary,
+    equilibrium_stresses,
+    force_chain_complex,
+)
 from trusshom.duality import (
     FormDiagram,
+    _dual_tree,
     _integrate_dual_tree,
     check_form_finding_safety,
     force_diagram_from_stress,
+    force_diagrams_from_stresses,
     form_diagram,
     impossible_rotation_basis,
     motion_to_rotation_class,
@@ -24,9 +38,17 @@ from trusshom.duality import (
     relative_force_diagram,
     rot90,
     stress_from_force_diagram,
+    stresses_from_force_diagrams,
 )
 
-from conftest import REPO, count_calls, random_form_truss
+from conftest import (
+    REPO,
+    count_calls,
+    oracle_dual_tree,
+    oracle_force_positions,
+    oracle_stress_from_positions,
+    random_form_truss,
+)
 
 Q = Fraction
 
@@ -111,20 +133,36 @@ def test_force_diagram_rejects_non_selfstress(wheel):
 def test_dual_tree_integration_keeps_its_checks(wheel):
     fd, _ = wheel
     x = fd.complex
+    vecs = fd.integer_edge_vectors
     faces, edges, ext = range(x.nfaces), range(x.nedges), x.exterior_face
     (s,) = analyze(fd.truss).self_stress_basis
-    q = _integrate_dual_tree(fd.truss, faces, edges, ext, s)
+    tree = _dual_tree(x, faces, edges, ext)
+    (q,) = _integrate_dual_tree(tree, vecs, [s])
     assert q[ext] == (Q(0), Q(0)) and len(q) == x.nfaces
+    assert _integrate_dual_tree(tree, vecs, [s, [3 * v for v in s]])[0] == q
     with pytest.raises(InternalCheckError, match="close"):
-        _integrate_dual_tree(fd.truss, faces, edges, ext, [Q(1)] * x.nedges)
+        _integrate_dual_tree(tree, vecs, [[Q(1)] * x.nedges])
+    with pytest.raises(InternalCheckError, match="close at edge"):
+        _integrate_dual_tree(tree, vecs, [s, s, [Q(1)] * x.nedges])
     with pytest.raises(InternalCheckError, match="disconnected"):
-        _integrate_dual_tree(fd.truss, faces, [], ext, s)
+        _dual_tree(x, faces, [], ext)
     interior = [f for f in faces if f != ext]
     with pytest.raises(InternalCheckError, match="outside the dual region"):
-        _integrate_dual_tree(fd.truss, interior, edges, interior[0], s)
+        _dual_tree(x, interior, edges, interior[0])
     bare = Truss(build_complex(2, [(0, 1)]), Embedding.from_points([(0, 0), (1, 0)]))
     with pytest.raises(PreconditionError, match="exactly two faces"):
-        _integrate_dual_tree(bare, [], [0], 0, [Q(1)])
+        _dual_tree(bare.complex, [], [0], 0)
+    # the batched entry points: a fault in the last member of a batch
+    # still raises, with the one-stress message
+    bad = [Q(1)] + [Q(0)] * 7
+    with pytest.raises(PreconditionError, match="stress is not a self-stress"):
+        force_diagrams_from_stresses(fd, [s, s, bad])
+    good = force_diagram_from_stress(fd, s).positions
+    off = list(good)
+    off[0] = (off[0][0] + 1, off[0][1])
+    with pytest.raises(PreconditionError, match="not parallel to primal edge"):
+        stresses_from_force_diagrams(fd, [good, good, off])
+    assert stresses_from_force_diagrams(fd, [good, good]) == [list(s), list(s)]
 
 
 def test_face_table_is_built_once_per_complex(rng, monkeypatch):
@@ -158,6 +196,107 @@ def test_stress_roundtrip_exact(wheel):
     (s,) = analyze(fd.truss).self_stress_basis
     diag = force_diagram_from_stress(fd, s)
     assert stress_from_force_diagram(fd, diag.positions) == list(s)
+
+
+def assert_roundtrip_matches_oracle(fd: FormDiagram) -> int:
+    """The batched and the one-stress round trips equal the per-stress
+    oracle exactly on the whole self-stress basis, also on translated
+    positions; returns the basis size."""
+    t = fd.truss
+    cc = force_chain_complex(t)
+    assert fd.equilibrium == cc.boundary(1)
+    basis = cc.representatives(1)
+    oracle = [oracle_force_positions(t, s) for s in basis]
+    assert [d.positions for d in force_diagrams_from_stresses(fd, basis)] == oracle
+    assert [force_diagram_from_stress(fd, s).positions for s in basis] == oracle
+    shift = (Q(7, 3), Q(-2))
+    moved = [tuple((p[0] + shift[0], p[1] + shift[1]) for p in q) for q in oracle]
+    for positions in (oracle, moved):
+        recovered = [oracle_stress_from_positions(t, q) for q in positions]
+        assert recovered == basis
+        assert stresses_from_force_diagrams(fd, positions) == recovered
+        assert [stress_from_force_diagram(fd, q) for q in positions] == recovered
+    return len(basis)
+
+
+def test_roundtrip_matches_the_per_stress_oracle_on_every_fixture():
+    checked = []
+    for path in sorted((REPO / "fixtures").glob("*.json")):
+        try:
+            fd, _ = document_to_form_diagram(parse_truss_document(path.read_text()))
+            fd.dual
+        except PreconditionError:
+            continue
+        checked.append((path.stem, assert_roundtrip_matches_oracle(fd)))
+    assert {stem for stem, _ in checked} >= {"grid6", "loaded1", "wheel5", "square4"}
+    assert sum(n for _, n in checked) >= 6
+
+
+def test_roundtrip_matches_the_per_stress_oracle_on_random_forms():
+    # each draw also under an orientation-preserving linear map whose
+    # entries have distinct prime denominators, so the edge vectors, the
+    # stresses and the positions carry mixed denominators
+    rng = random.Random(808)
+    stresses = 0
+    for _ in range(40):
+        t = random_form_truss(rng)
+        pts = [t.embedding.p(v) for v in range(t.complex.nverts)]
+        sheared = [(px / 7 + py / 13, py / 11) for px, py in pts]
+        for emb in (t.embedding, Embedding.from_points(sheared)):
+            stresses += assert_roundtrip_matches_oracle(FormDiagram(Truss(t.complex, emb)))
+    assert stresses >= 30
+
+
+def test_relative_diagram_matches_the_per_stress_oracle():
+    _, loaded = document_to_form_diagram(
+        parse_truss_document((REPO / "fixtures" / "loaded1.json").read_text())
+    )
+    dec = loaded.boundary_decomposition()
+    t = dec.truss
+    x = t.complex
+    faces = [f for f in range(x.nfaces) if f != x.exterior_face]
+    edges = [e for e in range(x.nedges) if e not in dec.loop.edges]
+    basis = equilibrium_stresses(dec)
+    assert basis
+    for s in basis + [[2 * v - w for v, w in zip(basis[0], basis[-1])]]:
+        rel = relative_force_diagram(dec, s)
+        oracle = oracle_dual_tree(t, faces, edges, min(faces), [Q(v) for v in s])
+        assert list(rel.positions.items()) == list(oracle.items())
+
+
+@pytest.mark.parametrize("fixture", ["grid6", "loaded1"])
+def test_check_keeps_one_dual_and_one_set_of_edge_vectors(fixture, monkeypatch, capsys):
+    # one form diagram per command: its dual is built once, and each
+    # edge vector is computed once for it, once for face tracing and once
+    # per force cosheaf, however many stresses go round the trip
+    path = REPO / "fixtures" / f"{fixture}.json"
+    nedges = document_to_truss(parse_truss_document(path.read_text())).truss.complex.nedges
+    duals = count_calls(monkeypatch, "trusshom.complexes", "poincare_dual")
+    vectors = count_calls(monkeypatch, "trusshom.complexes", "edge_vector")
+    cosheaves = count_calls(monkeypatch, "trusshom.cosheaves", "force_cosheaf")
+    tracings = count_calls(monkeypatch, "trusshom.complexes", "planar_faces")
+    assert main(["check", str(path)]) == 0
+    assert '"stress_diagram_roundtrip"' in capsys.readouterr().out
+    assert duals[0] == 1
+    assert vectors[0] <= nedges * (1 + tracings[0] + cosheaves[0])
+
+
+def test_check_reports_a_broken_stress_basis_as_internal(monkeypatch, capsys):
+    # a basis vector that is not a self-stress is a fault of the program,
+    # not a skipped precondition
+    representatives = ChainComplex.representatives
+
+    def off_by_one(cc, k):
+        reps = [list(v) for v in representatives(cc, k)]
+        if k == 1 and reps:
+            reps[0][0] += 1
+        return reps
+
+    monkeypatch.setattr(ChainComplex, "representatives", off_by_one)
+    assert main(["check", str(REPO / "fixtures" / "wheel5.json")]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "stress roundtrip failed: stress is not a self-stress" in captured.err
 
 
 def test_diagram_roundtrip_up_to_translation(wheel):

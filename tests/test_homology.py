@@ -323,6 +323,24 @@ def test_commands_assemble_and_eliminate_once(fixture, command, monkeypatch, cap
     assert matrices and len(set(matrices)) == len(matrices)
 
 
+@pytest.mark.parametrize("fixture", ["grid6", "loaded1"])
+@pytest.mark.parametrize("command", ["analyze", "check", "selfstress", "dual"])
+def test_commands_read_each_rank_off_the_kept_basis(fixture, command, monkeypatch, capsys):
+    # a matrix whose basis a command needs is eliminated once, for the
+    # basis, and its rank is read from there: no matrix reaches both the
+    # forward-only rank and a basis elimination
+    path = REPO / "fixtures" / f"{fixture}.json"
+    ranked = record_calls(monkeypatch, "trusshom.sparse", "rank")
+    bases = [
+        record_calls(monkeypatch, "trusshom.sparse", name)
+        for name in ("kernel_basis", "image_basis", "cokernel_reps")
+    ]
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    reduced = [args[0] for calls in bases for args, _ in calls]
+    assert reduced and not [args[0] for args, _ in ranked if args[0] in reduced]
+
+
 def test_selfstress_on_isolated_vertices_stays_small(tmp_path, capsys):
     # 2,000 vertices and no members: no chain of degree 1, so nothing
     # may build the 4,000 unit vectors of degree 0
