@@ -178,8 +178,14 @@ def spline_cosheaf(x: CellComplex, degree: int, smoothness: int) -> Cosheaf:
     affine parameter (tail at 0, head at 1, monomial basis); vertex stalks
     are jets of order ``smoothness`` (value and first r derivatives).
     The edge-to-vertex map evaluates the jet at the vertex's end of the
-    parameter; kernels of the assembled boundary are then exactly the
-    splines matching in value and r derivatives at every vertex.
+    parameter, and the assembled boundary adds these jets at each vertex
+    with the incidence sign (+ at the head, - at the tail).  Its kernel
+    is the edge data whose signed jets sum to zero at every vertex.
+    That is matching in value and r derivatives only at a vertex with
+    one edge arriving and one leaving, as along a consistently oriented
+    cycle; at a leaf the jet vanishes, and at a vertex of degree 3 or
+    more only the signed sum is constrained.  It is not the classical
+    space of splines on the graph.
     """
     if x.dim > 1:
         raise PreconditionError("spline cosheaf is defined over graphs")

@@ -54,7 +54,7 @@ def parse_coord(value) -> Fraction:
 
 
 def format_coord(value: Fraction) -> str:
-    return str(Q(value))
+    return str(value)
 
 
 @dataclass(frozen=True)

@@ -49,7 +49,7 @@ from .cosheaves import (
 )
 from .errors import InputError, InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers
-from .sparse import SparseMatrix, row_space_reducer, solve_particular
+from .sparse import SparseMatrix, solve_particular
 from .statics import BoundaryDecomposition, Truss, equilibrium_stresses
 
 Q = Fraction
@@ -524,8 +524,7 @@ def motion_to_rotation_class(pc: PositionCosheaf, u) -> MotionRotationClass:
     for e in range(x.nedges):
         n = pc.perp[e]
         chain.append(n[0] * w[2 * e] + n[1] * w[2 * e + 1])
-    reduce = row_space_reducer(pc.chain.image(2), x.nedges)
-    return MotionRotationClass(chain, reduce(chain))
+    return MotionRotationClass(chain, pc.chain.echelon(2).reduce(chain))
 
 
 def check_form_finding_safety(pc: PositionCosheaf, zeta) -> bool:
@@ -539,8 +538,7 @@ def check_form_finding_safety(pc: PositionCosheaf, zeta) -> bool:
     if len(flat) != pc.chain.dims[2]:
         raise InputError("dual repositioning has the wrong length")
     rho = pc.boundary2().apply(flat)
-    reduce = row_space_reducer(pc.chain.image(2), x.nedges)
-    if any(reduce(rho)):
+    if any(pc.chain.echelon(2).reduce(rho)):
         raise InternalCheckError("dual repositioning produced an unrealizable rotation")
     return True
 

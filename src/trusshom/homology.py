@@ -4,11 +4,12 @@ A ChainComplex here is the assembled form of a cosheaf (or of a bare cell
 complex via the unit constant cosheaf): exact sparse boundary matrices
 indexed by (cell, stalk coordinate) labels.  Homology is kernels mod
 images, computed the standard way (Edelsbrunner-Harer, *Computational
-Topology*, ch. IV): each boundary is eliminated once, its kernel and
-image bases are kept, and a degree's representatives are the kernel
-rows reduced against the image rows.  Every dimension is exact and
-every basis is in reduced row-echelon form, so printed bases are stable
-across runs.
+Topology*, ch. IV): a boundary's kernel basis and the ``Echelon`` of
+its image are each computed once and kept, and a degree's
+representatives are the kernel rows reduced modulo that echelon.  Every
+rank, image basis, cokernel and residue of a boundary is read from the
+kept eliminations.  Every dimension is exact and every basis is in
+reduced row-echelon form, so printed bases are stable across runs.
 """
 
 from __future__ import annotations
@@ -17,14 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InputError, InternalCheckError
-from .sparse import (
-    SparseMatrix,
-    cokernel_reps,
-    image_basis,
-    kernel_basis,
-    rank,
-    rank_modulo,
-)
+from .sparse import Echelon, SparseMatrix, echelon, kernel_basis, rank, rank_modulo
 
 
 @dataclass(frozen=True)
@@ -32,11 +26,13 @@ class ChainComplex:
     """dims[k] = dim C_k; boundaries[k]: C_k -> C_{k-1} for k >= 1;
     labels[k] tags each coordinate of C_k with its (cell, stalk index).
 
-    Each basis of a boundary (kernel, image, cokernel representatives)
-    and each degree's homology representatives are computed once, on
-    first use, and kept; ``rank`` reads the pivot count of whichever
-    elimination of the boundary is kept.  The returned bases are the
-    kept lists; callers must not modify them."""
+    The kernel basis of each boundary and the ``Echelon`` of its image
+    are each computed once, on first use, and kept; the rank, image
+    basis, cokernel representatives and residues of a boundary are read
+    from them.  ``rank`` reads the pivot count of whichever is kept and
+    otherwise runs the forward-only ``rank``.  Each degree's homology
+    representatives are kept too; the returned lists are the kept ones,
+    and callers must not modify them."""
 
     dims: dict[int, int]
     boundaries: dict[int, SparseMatrix]
@@ -84,21 +80,22 @@ class ChainComplex:
         kept = self._factors
         if ("kernel", k) in kept:
             return self.dims[k] - len(kept[("kernel", k)])
-        if ("image", k) in kept:
-            return len(kept[("image", k)])
-        if ("cokernel", k) in kept:
-            return self.dims[k - 1] - len(kept[("cokernel", k)])
+        if ("echelon", k) in kept:
+            return kept[("echelon", k)].rank
         return self._kept("rank", k, rank)
 
     def kernel(self, k: int) -> list[list[Fraction]]:
         """Reduced row-echelon basis of ker d_k."""
         return self._kept("kernel", k, kernel_basis)
 
+    def echelon(self, k: int) -> Echelon:
+        """im d_k in reduced row-echelon form, in C_{k-1}; no elimination
+        where d_k = 0."""
+        return self._kept("echelon", k, echelon)
+
     def image(self, k: int) -> list[list[Fraction]]:
         """Reduced row-echelon basis of im d_k, as vectors of C_{k-1}."""
-        if self._is_zero(k):
-            return []
-        return self._kept("image", k, image_basis)
+        return self.echelon(k).basis()
 
     def representatives(self, k: int) -> list[list[Fraction]]:
         """Reduced row-echelon basis of a complement of im d_{k+1} in
@@ -106,35 +103,21 @@ class ChainComplex:
 
         Where d_k = 0 the kernel is all of C_k, and the representatives
         are the unit vectors at the coordinates that are not pivots of
-        the image, which ``cokernel_reps`` reads off the elimination of
-        d_{k+1} without writing the image out.  Where d_{k+1} = 0 they
-        are the kernel basis itself.  Otherwise each kernel row is
-        reduced against the image rows, which clears it at every image
-        pivot, and the residues are echelonised once."""
+        the image of d_{k+1}.  Where d_{k+1} = 0 they are the kernel
+        basis itself.  Otherwise each kernel row is reduced modulo the
+        image, which clears it at every image pivot, and the residues
+        are echelonised once."""
         key = ("representatives", k)
         if key not in self._factors:
             n = self.dims.get(k, 0)
             if self._is_zero(k):
-                reps = self._kept("cokernel", k + 1, cokernel_reps)
+                reps = self.echelon(k + 1).cokernel()
             elif self._is_zero(k + 1):
                 reps = self.kernel(k)
             else:
-                image = [
-                    [(j, v) for j, v in enumerate(row) if v] for row in self.image(k + 1)
-                ]
-                residues = {}
-                count = 0
-                for vec in self.kernel(k):
-                    out = list(vec)
-                    for row in image:
-                        f = out[row[0][0]]
-                        if f:
-                            for j, v in row:
-                                out[j] -= f * v
-                    if any(out):
-                        residues.update(((j, count), v) for j, v in enumerate(out) if v)
-                        count += 1
-                reps = image_basis(SparseMatrix(n, count, residues))
+                image = self.echelon(k + 1)
+                residues = [r for vec in self.kernel(k) if any(r := image.reduce(vec))]
+                reps = echelon(SparseMatrix.from_columns(residues, n)).basis()
             betti = n - self.rank(k) - self.rank(k + 1)
             if len(reps) != betti:
                 raise InternalCheckError(
@@ -280,7 +263,7 @@ def les_dimension_check(presentation) -> "SequenceReport":
         if top < 1 or not source_dims[1]:
             return 0
         mapped = [chain_mat.apply(v) for v in source_cc.representatives(1)]
-        return rank_modulo(mapped, target_cc.image(2), target_cc.dims.get(1, 0))
+        return rank_modulo(mapped, target_cc.echelon(2))
 
     r_incl = induced_rank(
         cc_sub,

@@ -5,18 +5,21 @@ guarantees are strict: scalars are ``fractions.Fraction`` (arbitrary
 precision, always in lowest terms), there is no floating point and no
 tolerance anywhere.  One forward sparse elimination serves every
 function: it touches only the rows holding each pivot column.  A rank
-is its pivot count; image bases, cokernel representatives, particular
-solutions and residues modulo a span are read from the reduced
-row-echelon form with respect to the natural column order, and a kernel
-basis is the reduced row-echelon form of the null space, read from one
-elimination with the columns in reverse order.  Every returned vector is
-canonical: it does not depend on the order in which the elimination
-visits the rows.
+is its pivot count, and a particular solution is read from the reduced
+row-echelon form of the system.  The column space of a matrix is one
+``Echelon``, the reduced row-echelon form of its transpose: its rank,
+basis, cokernel representatives and the residue of any vector modulo
+it are all read from that one elimination.  A kernel basis is the
+reduced row-echelon form of the null space, read from one elimination
+with the columns in reverse order.  Every returned vector is canonical:
+it does not depend on the order in which the elimination visits the
+rows.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -78,10 +81,6 @@ class SparseMatrix:
     @classmethod
     def identity(cls, n):
         return cls(n, n, {(i, i): QONE for i in range(n)})
-
-    @classmethod
-    def zeros(cls, rows, cols):
-        return cls(rows, cols)
 
     @classmethod
     def from_columns(cls, columns, rows):
@@ -147,12 +146,6 @@ class SparseMatrix:
     def is_zero(self):
         return not self.entries
 
-    def to_rows(self):
-        dense = [[QZERO] * self.cols for _ in range(self.rows)]
-        for (i, j), v in self.entries.items():
-            dense[i][j] = v
-        return dense
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseMatrix)
@@ -165,19 +158,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={self.nnz})"
-
-
-def hstack(blocks: Sequence[SparseMatrix]) -> SparseMatrix:
-    rows = blocks[0].rows
-    entries = {}
-    off = 0
-    for b in blocks:
-        if b.rows != rows:
-            raise ValueError("row count mismatch in hstack")
-        for (i, j), v in b.entries.items():
-            entries[(i, j + off)] = v
-        off += b.cols
-    return SparseMatrix(rows, off, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -300,34 +280,72 @@ def kernel_basis(m: SparseMatrix) -> list[list[Fraction]]:
     return list(free.values())
 
 
-def cokernel_reps(m: SparseMatrix) -> list[list[Fraction]]:
-    """Representatives of target / image.
+@dataclass(frozen=True)
+class Echelon:
+    """The column space of a matrix in reduced row-echelon form.
 
-    The image of ``m`` is the row space of its transpose; the standard
-    basis vectors at the non-pivot coordinates of its reduced
-    row-echelon form are independent of the image and of each other,
-    giving exactly rows - rank canonical representatives.
+    ``rows`` maps each pivot coordinate, in increasing order, to its
+    basis vector as a sparse dict ``coordinate -> Fraction``, with 1 at
+    its own pivot and 0 at every other pivot; ``length`` is the
+    dimension of the target.  Rank, basis, cokernel representatives and
+    residues are all read from these rows.  Built by ``echelon``.
     """
-    _, pivots, _ = _eliminate(m.transpose(), basis=True)
-    reps = []
-    for i in range(m.rows):
-        if i not in pivots:
-            vec = [QZERO] * m.rows
-            vec[i] = QONE
-            reps.append(vec)
-    return reps
+
+    length: int
+    rows: dict[int, dict[int, Fraction]]
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def basis(self) -> list[list[Fraction]]:
+        """The basis vectors, dense, in pivot order."""
+        out = []
+        for row in self.rows.values():
+            vec = [QZERO] * self.length
+            for j, v in row.items():
+                vec[j] = v
+            out.append(vec)
+        return out
+
+    def cokernel(self) -> list[list[Fraction]]:
+        """Representatives of target / span: the unit vectors at the
+        coordinates that are not pivots, independent of the span and of
+        each other, exactly length - rank of them."""
+        reps = []
+        for i in range(self.length):
+            if i not in self.rows:
+                vec = [QZERO] * self.length
+                vec[i] = QONE
+                reps.append(vec)
+        return reps
+
+    def reduce(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        """Canonical residue of ``vec`` modulo the span: each basis
+        vector is subtracted off at its pivot coordinate, leaving zeros
+        at all of them."""
+        out = list(vec)
+        for pj, row in self.rows.items():
+            f = out[pj]
+            if f:
+                for j, v in row.items():
+                    out[j] -= f * v
+        return out
 
 
-def image_basis(m: SparseMatrix) -> list[list[Fraction]]:
-    """Reduced-echelon basis of the column space, as vectors in the target."""
+def echelon(m: SparseMatrix) -> Echelon:
+    """Reduced row-echelon basis of the column space of ``m``: the row
+    space of its transpose, from one elimination, or none for a zero
+    matrix."""
+    if m.is_zero():
+        return Echelon(m.rows, {})
     rows, pivots, _ = _eliminate(m.transpose(), basis=True)
-    out = []
-    for pj in sorted(pivots):
-        vec = [QZERO] * m.rows
-        for j, v in rows[pivots[pj]].items():
-            vec[j] = v
-        out.append(vec)
-    return out
+    return Echelon(m.rows, {pj: rows[pivots[pj]] for pj in sorted(pivots)})
+
+
+def cokernel_reps(m: SparseMatrix) -> list[list[Fraction]]:
+    """Representatives of target / image; see ``Echelon.cokernel``."""
+    return echelon(m).cokernel()
 
 
 def solve_particular(
@@ -354,40 +372,11 @@ def solve_particular(
     return x
 
 
-def row_space_reducer(vectors: list[list[Fraction]], length: int):
-    """Preprocess vectors spanning a subspace for repeated reduction.
+def rank_modulo(vectors: list[list[Fraction]], span: Echelon) -> int:
+    """Dimension of span(vectors) inside the quotient by ``span``.
 
-    Returns ``reduce(vec)``, mapping a vector to its canonical residue
-    modulo the span: each reduced-echelon row of the spanning set is
-    subtracted off at its pivot coordinate, leaving zeros at all of them.
-    """
-    mat = SparseMatrix.from_columns(vectors, length) if vectors else SparseMatrix(length, 0)
-    rows, pivots, _ = _eliminate(mat.transpose(), basis=True)
-    pivot_rows = [(pj, rows[pi]) for pj, pi in pivots.items()]
-
-    def reduce(vec: Sequence[Fraction]) -> list[Fraction]:
-        out = list(vec)
-        for pj, row in pivot_rows:
-            f = out[pj]
-            if f:
-                for j, v in row.items():
-                    out[j] -= f * v
-        return out
-
-    return reduce
-
-
-def rank_of_vectors(vectors: list[list[Fraction]], length: int) -> int:
-    if not vectors:
-        return 0
-    return rank(SparseMatrix.from_columns(vectors, length))
-
-
-def rank_modulo(
-    vectors: list[list[Fraction]],
-    modulo: list[list[Fraction]],
-    length: int,
-) -> int:
-    """Dimension of span(vectors) inside the quotient by span(modulo)."""
-    joint = rank_of_vectors(list(vectors) + list(modulo), length)
-    return joint - rank_of_vectors(modulo, length)
+    The residues modulo ``span`` vanish at all of its pivots, where every
+    nonzero vector of the span does not, so the residues' span meets it
+    only in zero: only the residues are eliminated."""
+    residues = [r for vec in vectors if any(r := span.reduce(vec))]
+    return rank(SparseMatrix.from_columns(residues, span.length)) if residues else 0

@@ -25,7 +25,7 @@ from .cosheaves import (
 )
 from .errors import InternalCheckError, PreconditionError
 from .homology import ChainComplex, betti_numbers
-from .sparse import SparseMatrix, hstack, rank
+from .sparse import SparseMatrix, rank
 
 Q = Fraction
 
@@ -175,10 +175,13 @@ def maxwell_report(t: Truss) -> MaxwellReport:
     degenerate = affine_span_dim(t) < n
     mech = None if degenerate else b0 - rigid_dim
     if mech is not None:
-        # rank(d1) = dim C0 - b0, since d0 is the zero map
+        # virtual work: every rigid motion is orthogonal to im d1, so over
+        # the rationals the motions meet im d1 only in zero and embed in
+        # the cokernel with their own rank
         rigid = SparseMatrix.from_columns(rigid_motion_basis(t), cc.dims[0])
-        embed_rank = rank(hstack([cc.boundary(1), rigid])) - (cc.dims[0] - b0)
-        if embed_rank != rigid_dim:
+        if not (cc.boundary(1).transpose() @ rigid).is_zero():
+            raise InternalCheckError("rigid-body motions do work on the members")
+        if rank(rigid) != rigid_dim:
             raise InternalCheckError(
                 "rigid-body motions do not embed with full rank despite full span"
             )

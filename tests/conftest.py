@@ -35,10 +35,9 @@ from trusshom.cosheaves import (
 from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.sparse import (
     SparseMatrix,
-    image_basis,
+    echelon,
     kernel_basis,
     rank,
-    row_space_reducer,
     solve_particular,
 )
 from trusshom.statics import Truss
@@ -156,12 +155,11 @@ def dense_homology(c) -> dict:
     for k in range(c.top_degree + 1):
         n = c.dims.get(k, 0)
         kern = kernel_basis(c.boundary(k))
-        img = image_basis(c.boundary(k + 1))
-        reduce = row_space_reducer(img, n)
-        residues = [r for v in kern if any(r := reduce(v))]
-        reps = image_basis(SparseMatrix.from_columns(residues, n)) if residues else []
-        assert len(reps) == len(kern) - len(img)
-        out[k] = (len(reps), img, reps)
+        img = echelon(c.boundary(k + 1))
+        residues = [r for v in kern if any(r := img.reduce(v))]
+        reps = echelon(SparseMatrix.from_columns(residues, n)).basis()
+        assert len(reps) == len(kern) - img.rank
+        out[k] = (len(reps), img.basis(), reps)
     return out
 
 

@@ -96,6 +96,21 @@ def test_spline_single_edge_m1_r0():
     assert b[1] == 0  # a linear polynomial vanishing at both ends is zero
 
 
+def test_spline_star_sums_the_signed_jets_at_each_vertex():
+    # every edge leaves the centre, so its value there enters the sum at
+    # the centre with the same sign: the values sum to zero, they do not
+    # match, and each leaf value vanishes
+    x = build_complex(4, [(0, 1), (0, 2), (0, 3)])
+    reps = boundary_matrices(spline_cosheaf(x, 1, 0)).representatives(1)
+    assert len(reps) == 2
+    # edge e carries a + b t, with the centre at t = 0 and its leaf at t = 1
+    at_centre = [[vec[2 * e] for e in range(3)] for vec in reps]
+    at_leaves = [[vec[2 * e] + vec[2 * e + 1] for e in range(3)] for vec in reps]
+    assert at_centre[0] == [1, 0, -1]
+    assert all(sum(values) == 0 for values in at_centre)
+    assert not any(any(values) for values in at_leaves)
+
+
 def test_spline_kernel_elements_match_at_vertices():
     # decoded spline representatives agree in value at every vertex
     x = build_complex(4, [(0, 1), (1, 2), (2, 3), (3, 0)])

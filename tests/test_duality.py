@@ -16,7 +16,7 @@ from trusshom.documents import (
 from trusshom.errors import InputError, InternalCheckError, PreconditionError
 from trusshom.homology import ChainComplex, betti_numbers
 from trusshom.samples import loaded_triangle, square4, tri3_spherical, wheel5
-from trusshom.sparse import image_basis, rank, rank_modulo
+from trusshom.sparse import echelon, rank, rank_modulo
 from trusshom.statics import (
     Truss,
     analyze,
@@ -44,6 +44,7 @@ from trusshom.duality import (
 from conftest import (
     REPO,
     count_calls,
+    record_calls,
     oracle_dual_tree,
     oracle_force_positions,
     oracle_stress_from_positions,
@@ -356,8 +357,7 @@ def test_motion_rotation_spans_wheel5_class(wheel):
     assert not mc.is_zero
     # membership oracle: the class together with the realizable rotations
     # spans everything the 1-dimensional obstruction space allows
-    img = image_basis(pc.boundary2())
-    assert rank_modulo([mc.chain], img, 8) == 1
+    assert rank_modulo([mc.chain], echelon(pc.boundary2())) == 1
 
 
 def test_motion_square_shear_independent_of_rotation():
@@ -368,8 +368,7 @@ def test_motion_square_shear_independent_of_rotation():
     m1 = motion_to_rotation_class(ps, shear)
     m2 = motion_to_rotation_class(ps, rot)
     assert not m1.is_zero and not m2.is_zero
-    img = image_basis(ps.boundary2())
-    assert rank_modulo([m1.chain, m2.chain], img, 4) == 2
+    assert rank_modulo([m1.chain, m2.chain], echelon(ps.boundary2())) == 2
 
 
 def test_motion_is_linear(wheel):
@@ -403,10 +402,7 @@ def test_rotation_class_kernel_is_exactly_the_resisted_motions(wheel):
     fd, pc = wheel
     cc = pc.force_chain
     d1 = cc.boundary(1)
-    img = image_basis(d1)
-    from trusshom.sparse import row_space_reducer
-
-    membership = row_space_reducer(img, cc.dims[0])
+    membership = echelon(d1).reduce
     rng = random.Random(2718)
     zero_seen = nonzero_seen = 0
     for _ in range(30):
@@ -436,6 +432,22 @@ def test_form_finding_safety_zero_and_random(wheel):
             for _ in range(5)
         ]
         assert check_form_finding_safety(pc, zeta)
+
+
+def test_rotation_classes_read_the_kept_echelon(monkeypatch):
+    # once the impossible rotations are known, a rotation class costs
+    # only the lift of its motion: the residue modulo im d2 reads the
+    # position complex's kept echelon
+    fd = form_diagram(wheel5())
+    pc = position_cosheaf(fd)
+    impossible_rotation_basis(pc)
+    eliminated = record_calls(monkeypatch, "trusshom.sparse", "_eliminate")
+    assert not motion_to_rotation_class(pc, [rot90(fd.embedding.p(v)) for v in range(5)]).is_zero
+    assert motion_to_rotation_class(pc, [(Q(2), Q(-1))] * 5).is_zero
+    assert check_form_finding_safety(pc, [(Q(v), Q(1 - v)) for v in range(fd.complex.nfaces)])
+    # only the two lifts through the constant cosheaf's d1
+    lift = pc.presentation.inclusion.target.chain_complex.boundary(1)
+    assert [args[0] for args, _ in eliminated] == [lift, lift]
 
 
 def test_single_dual_vertex_move_gives_incidence_column(wheel):
@@ -579,10 +591,10 @@ def test_graph_reciprocity_wheel5(wheel):
     x = fd.complex
     (sigma,) = kernel_basis(pc.boundary2().transpose())
     # same class as the canonical representative
-    img = image_basis(pc.boundary2())
+    img = echelon(pc.boundary2())
     (canon,) = impossible_rotation_basis(pc).chains
-    assert rank_modulo([sigma], img, x.nedges) == 1
-    assert rank_modulo([sigma, canon], img, x.nedges) == 1
+    assert rank_modulo([sigma], img) == 1
+    assert rank_modulo([sigma, canon], img) == 1
     converted = [sigma[e] / s[e] for e in range(x.nedges)]
     dual_truss = Truss(
         build_complex(x.nfaces, [x.left_right_faces(e) for e in range(x.nedges)]),

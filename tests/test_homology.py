@@ -97,7 +97,7 @@ def test_homology_representatives_lie_in_kernel_mod_image():
             assert not any(dk.apply(rep))
         if deg.representatives:
             assert (
-                rank_modulo(deg.representatives, deg.image, cc.dims[k])
+                rank_modulo(deg.representatives, cc.echelon(k + 1))
                 == deg.betti
             )
 
@@ -333,12 +333,58 @@ def test_commands_read_each_rank_off_the_kept_basis(fixture, command, monkeypatc
     ranked = record_calls(monkeypatch, "trusshom.sparse", "rank")
     bases = [
         record_calls(monkeypatch, "trusshom.sparse", name)
-        for name in ("kernel_basis", "image_basis", "cokernel_reps")
+        for name in ("kernel_basis", "echelon", "cokernel_reps")
     ]
     assert main([command, str(path)]) == 0
     capsys.readouterr()
     reduced = [args[0] for calls in bases for args, _ in calls]
     assert reduced and not [args[0] for args, _ in ranked if args[0] in reduced]
+
+
+def works_on(m, d):
+    """Whether the eliminated matrix ``m`` is ``d``, ``d`` with its
+    columns reversed, the transpose of ``d``, or ``d`` with more columns
+    appended: an elimination that works on the matrix ``d``."""
+    if m.shape == (d.cols, d.rows) and m.transpose() == d:
+        return True
+    if m.rows != d.rows or m.cols < d.cols:
+        return False
+    last = m.cols - 1
+    reversed_ = SparseMatrix(m.rows, m.cols, {(i, last - j): v for (i, j), v in m.entries.items()})
+    head = SparseMatrix(d.rows, d.cols, {(i, j): v for (i, j), v in m.entries.items() if j < d.cols})
+    return reversed_ == d or head == d
+
+
+def equilibrium_matrix(fixture):
+    path = REPO / "fixtures" / f"{fixture}.json"
+    t = document_to_truss(parse_truss_document(path.read_text())).truss
+    return path, boundary_matrices(force_cosheaf(t.complex, t.embedding)).boundary(1)
+
+
+@pytest.mark.parametrize("fixture", ["grid6", "loaded1"])
+@pytest.mark.parametrize("command", ["analyze", "maxwell", "check"])
+def test_rigid_motions_are_checked_without_widening_d1(fixture, command, monkeypatch, capsys):
+    # the rigid motions are checked by virtual work, d1^T R = 0, so no
+    # elimination sees the equilibrium matrix with their columns appended
+    path, d1 = equilibrium_matrix(fixture)
+    eliminated = record_calls(monkeypatch, "trusshom.sparse", "_eliminate")
+    assert main([command, str(path)]) == 0
+    capsys.readouterr()
+    wide = [m.shape for (m, *_), _ in eliminated if m.rows == d1.rows and m.cols > d1.cols]
+    assert eliminated and not wide
+
+
+@pytest.mark.parametrize("fixture", ["grid6", "loaded1"])
+def test_analyze_eliminates_d1_once_for_its_kernel_and_once_for_its_image(
+    fixture, monkeypatch, capsys
+):
+    path, d1 = equilibrium_matrix(fixture)
+    eliminated = record_calls(monkeypatch, "trusshom.sparse", "_eliminate")
+    assert main(["analyze", str(path)]) == 0
+    capsys.readouterr()
+    on_d1 = [m for (m, *_), _ in eliminated if works_on(m, d1)]
+    # the kernel eliminates d1 with its columns reversed, the echelon d1^T
+    assert [m.shape for m in on_d1] == [d1.shape, (d1.cols, d1.rows)]
 
 
 def test_selfstress_on_isolated_vertices_stays_small(tmp_path, capsys):

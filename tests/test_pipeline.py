@@ -24,7 +24,7 @@ from trusshom.duality import (
 )
 from trusshom.homology import betti_numbers, homology, les_dimension_check
 from trusshom.samples import wheel5
-from trusshom.sparse import rank_of_vectors
+from trusshom.sparse import SparseMatrix, rank
 from trusshom.statics import (
     Truss,
     analyze,
@@ -105,7 +105,7 @@ def test_random_trusses_dof_reps_independent_of_image(rng):
             reps = h.degrees[0].representatives
             img = h.degrees[0].image
             assert len(reps) == h.betti(0)
-            joint = rank_of_vectors(reps + img, cc.dims[0])
+            joint = rank(SparseMatrix.from_columns(reps + img, cc.dims[0]))
             assert joint == len(reps) + len(img)
 
 
